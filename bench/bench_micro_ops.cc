@@ -51,16 +51,35 @@ BM_LaoramBinAccess(benchmark::State &state)
     cfg.superblockSize = 4;
     core::Laoram engine(cfg);
 
+    // Serve freshly preprocessed windows, each bin once, as the
+    // pipeline does. Replaying one window would serve bins whose
+    // members were already remapped past them, so after the first
+    // pass every look-ahead link would be stale.
+    constexpr std::uint64_t kWindow = 4096;
     core::Preprocessor prep(
         core::PreprocessorConfig{4, engine.geometry().numLeaves()}, 3);
-    const auto trace = randomTrace(blocks, 4096, 4);
-    const auto res = prep.run(trace);
-    std::size_t i = 0;
+    core::PreprocessResult window;
+    std::uint64_t windowIndex = 0;
+    std::size_t next = 0;
+    std::uint64_t accesses = 0;
     for (auto _ : state) {
-        engine.accessBin(res.bins[i++ % res.bins.size()]);
+        if (next == window.bins.size()) {
+            state.PauseTiming();
+            const auto trace =
+                randomTrace(blocks, kWindow, 4 + windowIndex);
+            window = prep.runWindow(windowIndex, windowIndex * kWindow,
+                                    trace.data(),
+                                    trace.data() + trace.size())
+                         .result;
+            ++windowIndex;
+            next = 0;
+            state.ResumeTiming();
+        }
+        const core::SuperblockBin &bin = window.bins[next++];
+        engine.accessBin(bin);
+        accesses += bin.rawAccesses;
     }
-    // Each bin serves ~4 logical accesses.
-    state.SetItemsProcessed(state.iterations() * 4);
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 
 void

@@ -297,13 +297,7 @@ OramEngine::applyOp(StashEntry &entry, AccessOp op,
 StashEntry &
 TreeOramBase::stashEntryFor(BlockId id, Leaf leaf)
 {
-    if (StashEntry *entry = stash_.find(id)) {
-        entry->leaf = leaf;
-        return *entry;
-    }
-    auto &entry = stash_.put(id, leaf);
-    entry.payload.assign(cfg.payloadBytes, 0);
-    return entry;
+    return stash_.findOrCreate(id, leaf, cfg.payloadBytes);
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -13,36 +12,27 @@ PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
                Stash &stash)
     : geom(geom), storage(storage), stash(stash)
 {
-    byLevel.resize(geom.numLevels());
 }
 
 void
-PathIo::gatherPathSlots(Leaf leaf)
+PathIo::record(std::size_t, BlockId id, Leaf leaf,
+               const std::uint8_t *payload)
 {
-    for (unsigned level = 0; level < geom.numLevels(); ++level) {
-        const NodeIndex node = geom.pathNode(leaf, level);
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s)
-            slotScratch.push_back(base + s);
-    }
+    if (id == kInvalidBlock)
+        return; // dummies cost no copy
+    // A block must never be duplicated between tree and stash.
+    const std::uint64_t before = stash.size();
+    stash.put(id, leaf, payload, storage.payloadBytes());
+    LAORAM_ASSERT(stash.size() == before + 1, "block ", id,
+                  " found in tree while stashed");
+    ++absorbed;
 }
 
 std::uint64_t
-PathIo::absorbGatheredSlots()
+PathIo::absorbSlots()
 {
-    storage.readSlots(slotScratch.data(), slotScratch.size(),
-                      blockScratch);
-    std::uint64_t absorbed = 0;
-    for (StoredBlock &b : blockScratch) {
-        if (b.isDummy())
-            continue;
-        // A block must never be duplicated between tree and stash.
-        LAORAM_ASSERT(!stash.contains(b.id), "block ", b.id,
-                      " found in tree while stashed");
-        stash.put(b.id, b.leaf, std::move(b.payload));
-        ++absorbed;
-    }
+    absorbed = 0;
+    storage.readSlots(slotScratch.data(), slotScratch.size(), *this);
     return absorbed;
 }
 
@@ -50,174 +40,154 @@ std::uint64_t
 PathIo::readPath(Leaf leaf)
 {
     slotScratch.clear();
-    gatherPathSlots(leaf);
-    return absorbGatheredSlots();
+    for (unsigned level = 0; level < geom.numLevels(); ++level) {
+        const std::uint64_t base =
+            geom.nodeSlotBase(geom.pathNode(leaf, level));
+        const std::uint64_t z = geom.bucketSize(level);
+        for (std::uint64_t s = 0; s < z; ++s)
+            slotScratch.push_back(base + s);
+    }
+    return absorbSlots();
 }
 
 std::uint64_t
 PathIo::writePath(Leaf leaf)
 {
-    const unsigned levels = geom.numLevels();
-    for (auto &bucket : byLevel)
-        bucket.clear();
-    pool.clear();
-
-    // Bucket every evictable stash block by the deepest level of this
-    // path where its own assigned path still overlaps. Pinned entries
-    // are retained client-side.
-    for (const auto &[id, entry] : stash) {
-        if (entry.pinned)
-            continue;
-        byLevel[geom.commonLevel(entry.leaf, leaf)].push_back(id);
-    }
-
-    // Plan the whole path as one vectored write: real blocks reference
-    // their stash payloads in place, untaken slots become dummies. The
-    // stash entries are erased only after the storage op, so every
-    // payload pointer stays valid for the write.
-    writeScratch.clear();
-    evictedScratch.clear();
-    std::uint64_t written = 0;
-    for (unsigned level = levels; level-- > 0;) {
-        // Blocks eligible at deeper levels that did not fit spill into
-        // `pool` and remain eligible here.
-        for (BlockId id : byLevel[level])
-            pool.push_back(id);
-
-        const NodeIndex node = geom.pathNode(leaf, level);
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        std::uint64_t filled = 0;
-        while (filled < z && !pool.empty()) {
-            const BlockId id = pool.back();
-            pool.pop_back();
-            StashEntry *entry = stash.find(id);
-            LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({base + filled, id, entry->leaf,
-                                    entry->payload.data(),
-                                    entry->payload.size()});
-            evictedScratch.push_back(id);
-            ++filled;
-            ++written;
-        }
-        for (std::uint64_t s = filled; s < z; ++s)
-            writeScratch.push_back({base + s, kInvalidBlock, 0,
-                                    nullptr, 0});
-    }
-    storage.writeSlots(writeScratch.data(), writeScratch.size());
-    for (BlockId id : evictedScratch)
-        stash.erase(id);
-    return written;
+    return writeUnion(&leaf, 1);
 }
 
-std::vector<NodeIndex>
-PathIo::pathUnion(const std::vector<Leaf> &leaves) const
+void
+PathIo::buildUnion(const Leaf *leaves, std::size_t k)
 {
-    std::vector<NodeIndex> nodes;
-    nodes.reserve(leaves.size() * geom.numLevels());
-    for (Leaf leaf : leaves)
-        for (unsigned level = 0; level < geom.numLevels(); ++level)
-            nodes.push_back(geom.pathNode(leaf, level));
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    // Heap indices grow with level, so descending index order is
-    // deepest-first — exactly the greedy write-back order.
-    std::reverse(nodes.begin(), nodes.end());
-    return nodes;
+    sortedLeaves.assign(leaves, leaves + k);
+    std::sort(sortedLeaves.begin(), sortedLeaves.end());
+    sortedLeaves.erase(
+        std::unique(sortedLeaves.begin(), sortedLeaves.end()),
+        sortedLeaves.end());
+    k = sortedLeaves.size();
+
+    // Heap indices grow with level, and within a level pathNode is
+    // monotone in the leaf — so walking levels deepest-first and the
+    // sorted leaves backwards emits the union in descending index
+    // order (exactly the greedy write-back order), duplicates
+    // adjacent. No sort of the k * levels path nodes is needed.
+    const unsigned levels = geom.numLevels();
+    unionNodes.clear();
+    leafNodePos.resize(k * levels);
+    for (unsigned level = levels; level-- > 0;) {
+        for (std::size_t j = k; j-- > 0;) {
+            const NodeIndex node = geom.pathNode(sortedLeaves[j], level);
+            if (unionNodes.empty() || unionNodes.back() != node)
+                unionNodes.push_back(node);
+            leafNodePos[j * levels + level] =
+                static_cast<std::uint32_t>(unionNodes.size() - 1);
+        }
+    }
+    parentPos.resize(unionNodes.size());
+    for (std::size_t j = 0; j < k; ++j) {
+        for (unsigned level = 1; level < levels; ++level)
+            parentPos[leafNodePos[j * levels + level]] =
+                leafNodePos[j * levels + level - 1];
+    }
 }
 
 std::uint64_t
 PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
 {
+    buildUnion(leaves.data(), leaves.size());
     slotScratch.clear();
-    for (NodeIndex node : pathUnion(leaves)) {
+    for (NodeIndex node : unionNodes) {
         const std::uint64_t base = geom.nodeSlotBase(node);
         const std::uint64_t z = geom.bucketSize(geom.nodeLevel(node));
         for (std::uint64_t s = 0; s < z; ++s)
             slotScratch.push_back(base + s);
     }
-    const std::uint64_t slots_read = slotScratch.size();
-    absorbGatheredSlots();
-    return slots_read;
+    absorbSlots();
+    return slotScratch.size();
 }
 
 std::uint64_t
 PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
 {
-    const std::vector<NodeIndex> nodes = pathUnion(leaves);
+    writeUnion(leaves.data(), leaves.size());
+    return writeScratch.size();
+}
+
+std::uint64_t
+PathIo::writeUnion(const Leaf *leaves, std::size_t k)
+{
+    LAORAM_ASSERT(k > 0, "write-back of an empty path set");
+    buildUnion(leaves, k);
+    const unsigned levels = geom.numLevels();
+    if (pending.size() < unionNodes.size())
+        pending.resize(unionNodes.size());
 
     // Seed every stash block at the deepest union node it may occupy:
     // the node realising max over leaves of commonLevel(block, leaf).
     // The maximiser shares the longest bit-prefix with the block's
     // leaf, so for a sorted leaf set it is always a lower_bound
-    // neighbour — O(log k) per block instead of O(k).
-    std::vector<Leaf> sorted_leaves(leaves);
-    std::sort(sorted_leaves.begin(), sorted_leaves.end());
-
-    std::unordered_map<NodeIndex, std::vector<BlockId>> pending;
-    for (const auto &[id, entry] : stash) {
+    // neighbour — O(log k) per block instead of O(k). Pinned entries
+    // are retained client-side.
+    for (std::size_t pos = 0; pos < stash.size(); ++pos) {
+        const StashEntry &entry = stash.at(pos).entry;
         if (entry.pinned)
             continue;
-        auto it = std::lower_bound(sorted_leaves.begin(),
-                                   sorted_leaves.end(), entry.leaf);
-        unsigned best_level = 0;
-        Leaf best_leaf = sorted_leaves.front();
-        bool found = false;
-        auto consider = [&](Leaf leaf) {
-            const unsigned cl = geom.commonLevel(entry.leaf, leaf);
-            if (!found || cl > best_level) {
-                best_level = cl;
-                best_leaf = leaf;
-                found = true;
+        const std::size_t j = static_cast<std::size_t>(
+            std::lower_bound(sortedLeaves.begin(), sortedLeaves.end(),
+                             entry.leaf)
+            - sortedLeaves.begin());
+        std::size_t best = j < sortedLeaves.size() ? j : j - 1;
+        unsigned bestLevel =
+            geom.commonLevel(entry.leaf, sortedLeaves[best]);
+        if (best == j && j > 0) {
+            const unsigned cl =
+                geom.commonLevel(entry.leaf, sortedLeaves[j - 1]);
+            if (cl > bestLevel) {
+                best = j - 1;
+                bestLevel = cl;
             }
-        };
-        if (it != sorted_leaves.end())
-            consider(*it);
-        if (it != sorted_leaves.begin())
-            consider(*std::prev(it));
-        pending[geom.pathNode(best_leaf, best_level)].push_back(id);
+        }
+        pending[leafNodePos[best * levels + bestLevel]].push_back(
+            static_cast<std::uint32_t>(pos));
     }
 
-    // Deepest-first fill; leftovers spill to the parent node, which is
-    // in the union because path unions are ancestor-closed. The union
-    // is written as one vectored storage op; stash entries are erased
-    // after it so their payload pointers stay valid for the write.
+    // Deepest-first fill as one vectored storage op: real blocks
+    // reference their stash payloads in place, untaken slots become
+    // dummies. The stash entries are erased only after the write, so
+    // every payload pointer stays valid for it.
     writeScratch.clear();
-    evictedScratch.clear();
-    std::uint64_t slots_written = 0;
-    for (NodeIndex node : nodes) {
-        auto &candidates = pending[node];
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(geom.nodeLevel(node));
+    evicted.clear();
+    for (std::size_t u = 0; u < unionNodes.size(); ++u) {
+        auto &candidates = pending[u];
+        const unsigned level = geom.nodeLevel(unionNodes[u]);
+        const std::uint64_t base = geom.nodeSlotBase(unionNodes[u]);
+        const std::uint64_t z = geom.bucketSize(level);
         std::uint64_t filled = 0;
-        while (filled < z && !candidates.empty()) {
-            const BlockId id = candidates.back();
+        for (; filled < z && !candidates.empty(); ++filled) {
+            const std::uint32_t pos = candidates.back();
             candidates.pop_back();
-            StashEntry *entry = stash.find(id);
-            LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({base + filled, id, entry->leaf,
-                                    entry->payload.data(),
-                                    entry->payload.size()});
-            evictedScratch.push_back(id);
-            ++filled;
+            const StashSlot &slot = stash.at(pos);
+            writeScratch.push_back({base + filled, slot.id,
+                                    slot.entry.leaf,
+                                    slot.entry.payload.data(),
+                                    slot.entry.payload.size()});
+            evicted.push_back(pos);
         }
         for (std::uint64_t s = filled; s < z; ++s)
             writeScratch.push_back({base + s, kInvalidBlock, 0,
                                     nullptr, 0});
-        slots_written += z;
-
-        if (!candidates.empty() && node != 0) {
-            auto &parent = pending[(node - 1) / 2];
+        // Leftovers spill to the parent; at the root they simply stay
+        // in the stash.
+        if (!candidates.empty() && level > 0) {
+            auto &parent = pending[parentPos[u]];
             parent.insert(parent.end(), candidates.begin(),
                           candidates.end());
-            candidates.clear();
         }
-        // Leftovers at the root simply stay in the stash.
+        candidates.clear();
     }
     storage.writeSlots(writeScratch.data(), writeScratch.size());
-    for (BlockId id : evictedScratch)
-        stash.erase(id);
-    return slots_written;
+    stash.eraseAt(evicted.data(), evicted.size());
+    return evicted.size();
 }
 
 std::string

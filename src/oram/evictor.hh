@@ -28,9 +28,10 @@ namespace laoram::oram {
 /**
  * Stateless-per-call path reader/writer bound to one (geometry,
  * storage, stash) triple. Engines own one and call it for every real
- * or dummy access.
+ * or dummy access. Its scratch buffers are reused across calls, so a
+ * warmed-up PathIo allocates nothing per path.
  */
-class PathIo
+class PathIo : private ServerStorage::RecordSink
 {
   public:
     PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash);
@@ -44,11 +45,8 @@ class PathIo
     std::uint64_t readPath(Leaf leaf);
 
     /**
-     * Greedy write-back along @p leaf's path: each stash block is
-     * bucketed by the deepest level at which its assigned path still
-     * overlaps this path, then levels are filled leaf-to-root, unplaced
-     * blocks spilling toward the root and finally staying in the stash.
-     * Untaken slots are overwritten with encrypted dummies.
+     * Greedy write-back along @p leaf's path: writePathsBatched over
+     * the single path.
      *
      * @return number of real blocks written back
      */
@@ -66,9 +64,15 @@ class PathIo
 
     /**
      * Batched greedy write-back over the union of several paths.
-     * Nodes are filled deepest-level-first; blocks that do not fit
-     * spill to their parent (which is always in the union, since path
-     * unions are ancestor-closed) and ultimately back to the stash.
+     * Every unpinned stash block is bucketed once, in stash order, at
+     * the deepest union node its own path shares. Nodes are then
+     * filled deepest-first, each from the back of its list: its own
+     * candidates in stash order followed by its children's
+     * spill-over. Blocks that do not fit spill to the parent (which
+     * is always in the union, since path unions are ancestor-closed)
+     * and ultimately stay in the stash. Untaken slots are
+     * overwritten with encrypted dummies.
+     *
      * Writing the union once — instead of path-by-path — is required
      * for correctness: sequential per-path write-backs would overwrite
      * shared prefix nodes populated by the previous path.
@@ -78,30 +82,44 @@ class PathIo
     std::uint64_t writePathsBatched(const std::vector<Leaf> &leaves);
 
   private:
-    /** Sorted (level-descending, then node) union of path nodes. */
-    std::vector<NodeIndex> pathUnion(const std::vector<Leaf> &leaves)
-        const;
+    /**
+     * Build the deepest-first union of @p leaves' paths into
+     * unionNodes (descending heap index), with leafNodePos and
+     * parentPos.
+     */
+    void buildUnion(const Leaf *leaves, std::size_t k);
 
-    /** Append every slot of @p leaf's path to slotScratch. */
-    void gatherPathSlots(Leaf leaf);
+    /** The greedy write-back; @return real blocks written. */
+    std::uint64_t writeUnion(const Leaf *leaves, std::size_t k);
 
     /**
-     * Vectored fetch of slotScratch into the stash (one storage op);
-     * returns the number of real blocks absorbed.
+     * Vectored fetch of slotScratch straight into the stash (one
+     * storage op); returns the number of real blocks absorbed.
      */
-    std::uint64_t absorbGatheredSlots();
+    std::uint64_t absorbSlots();
+
+    /** RecordSink: a real record becomes a new stash entry. */
+    void record(std::size_t i, BlockId id, Leaf leaf,
+                const std::uint8_t *payload) override;
 
     const TreeGeometry &geom;
     ServerStorage &storage;
     Stash &stash;
 
-    // Scratch buffers reused across calls to avoid per-path allocation.
-    std::vector<std::vector<BlockId>> byLevel;
-    std::vector<BlockId> pool;
+    std::uint64_t absorbed = 0;
     std::vector<std::uint64_t> slotScratch;
-    std::vector<StoredBlock> blockScratch;
     std::vector<ServerStorage::SlotWriteOp> writeScratch;
-    std::vector<BlockId> evictedScratch;
+    /** Stash positions written back by the current write. */
+    std::vector<std::uint32_t> evicted;
+
+    std::vector<Leaf> sortedLeaves;
+    std::vector<NodeIndex> unionNodes;
+    /** Union position of sortedLeaves[j]'s node at level l (j*levels+l). */
+    std::vector<std::uint32_t> leafNodePos;
+    /** Union position of each union node's parent (root: unused). */
+    std::vector<std::uint32_t> parentPos;
+    /** Stash positions waiting at each union node (empty between calls). */
+    std::vector<std::vector<std::uint32_t>> pending;
 };
 
 /**

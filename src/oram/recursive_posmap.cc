@@ -139,15 +139,10 @@ RecursivePositionMap::accessLevel(Level &level, BlockId block, Leaf at,
     meter.recordPathRead(level.geom.pathBytes(),
                          level.geom.pathSlots());
 
-    StashEntry *entry = level.stash.find(block);
-    if (!entry) {
-        // Should not happen after bulk init; tolerate by creating a
-        // zeroed map block (positions 0 — still valid leaves).
-        entry = &level.stash.put(block, to);
-        entry->payload.assign(cfg.packing * 4, 0);
-    }
-    entry->leaf = to;
-    return entry->payload;
+    // A missing block should not happen after bulk init; tolerate it
+    // by creating a zeroed map block (positions 0 — still valid
+    // leaves).
+    return level.stash.findOrCreate(block, to, cfg.packing * 4).payload;
 }
 
 Leaf

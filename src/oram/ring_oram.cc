@@ -39,18 +39,6 @@ RingOram::RingOram(const RingOramConfig &cfg)
     byLevel.resize(geom.numLevels());
 }
 
-StashEntry &
-RingOram::entryFor(BlockId id, Leaf leaf)
-{
-    if (StashEntry *entry = stash_.find(id)) {
-        entry->leaf = leaf;
-        return *entry;
-    }
-    auto &entry = stash_.put(id, leaf);
-    entry.payload.assign(cfg.payloadBytes, 0);
-    return entry;
-}
-
 std::string
 RingOram::auditRing() const
 {
@@ -121,8 +109,7 @@ RingOram::readPathSparse(Leaf leaf, BlockId id)
         if (it != meta.real.end()) {
             storage_.readSlot(base + it->second, scratch);
             LAORAM_ASSERT(scratch.id == id, "bucket metadata desynced");
-            stash_.put(scratch.id, scratch.leaf,
-                       std::move(scratch.payload));
+            stash_.put(scratch.id, scratch.leaf, scratch.payload);
             meta.real.erase(it);
             LAORAM_ASSERT(meta.unreadSlots > 0, "read of read slot");
             --meta.unreadSlots;
@@ -196,37 +183,39 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
     storage_.readSlots(slotScratch.data(), slotScratch.size(),
                        blockScratch);
     const std::uint64_t blocksIn = blockScratch.size();
-    for (StoredBlock &b : blockScratch)
-        stash_.put(b.id, b.leaf, std::move(b.payload));
+    for (const StoredBlock &b : blockScratch)
+        stash_.put(b.id, b.leaf, b.payload);
 
     // Write phase: greedy deepest-first refill, capacity realZ per
     // bucket; remaining slots become fresh dummies.
     for (auto &bucket : byLevel)
         bucket.clear();
     pool.clear();
-    for (const auto &[id, entry] : stash_)
-        byLevel[geom.commonLevel(entry.leaf, leaf)].push_back(id);
+    for (std::size_t pos = 0; pos < stash_.size(); ++pos) {
+        byLevel[geom.commonLevel(stash_.at(pos).entry.leaf, leaf)]
+            .push_back(static_cast<std::uint32_t>(pos));
+    }
 
     writeScratch.clear();
     evictedScratch.clear();
     for (unsigned level = geom.numLevels(); level-- > 0;) {
-        for (BlockId id : byLevel[level])
-            pool.push_back(id);
+        pool.insert(pool.end(), byLevel[level].begin(),
+                    byLevel[level].end());
 
         const NodeIndex node = geom.pathNode(leaf, level);
         auto &meta = buckets[node];
         const std::uint64_t base = geom.nodeSlotBase(node);
         std::uint64_t filled = 0;
         while (filled < rcfg.realZ && !pool.empty()) {
-            const BlockId id = pool.back();
+            const std::uint32_t pos = pool.back();
             pool.pop_back();
-            StashEntry *entry = stash_.find(id);
-            LAORAM_ASSERT(entry, "stash entry vanished during eviction");
-            writeScratch.push_back({base + filled, id, entry->leaf,
-                                    entry->payload.data(),
-                                    entry->payload.size()});
-            evictedScratch.push_back(id);
-            meta.real.emplace_back(id,
+            const StashSlot &slot = stash_.at(pos);
+            writeScratch.push_back({base + filled, slot.id,
+                                    slot.entry.leaf,
+                                    slot.entry.payload.data(),
+                                    slot.entry.payload.size()});
+            evictedScratch.push_back(pos);
+            meta.real.emplace_back(slot.id,
                                    static_cast<std::uint8_t>(filled));
             ++filled;
         }
@@ -238,8 +227,7 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
     // One vectored write-back for the whole path; stash entries are
     // erased only afterwards so the payload pointers stay valid.
     storage_.writeSlots(writeScratch.data(), writeScratch.size());
-    for (BlockId id : evictedScratch)
-        stash_.erase(id);
+    stash_.eraseAt(evictedScratch.data(), evictedScratch.size());
 
     const std::uint64_t writeBlocks =
         geom.numLevels() * slotsPerBucket;
@@ -266,7 +254,7 @@ RingOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
 
     const Leaf next = rng.nextBounded(geom.numLeaves());
     posmap_.set(id, next);
-    StashEntry &entry = entryFor(id, next);
+    StashEntry &entry = stash_.findOrCreate(id, next, cfg.payloadBytes);
     applyOp(entry, op, in, len, out);
 
     // Deterministic eviction every A accesses.

@@ -71,8 +71,6 @@ class RingOram final : public OramEngine
         std::uint64_t unreadSlots = 0;
     };
 
-    StashEntry &entryFor(BlockId id, Leaf leaf);
-
     /**
      * Deterministic reverse-lexicographic eviction order: spreads
      * consecutive evictions across the tree (RingORAM §3.2).
@@ -102,12 +100,12 @@ class RingOram final : public OramEngine
 
     // Scratch (avoids per-access allocation).
     StoredBlock scratch;
-    std::vector<std::vector<BlockId>> byLevel;
-    std::vector<BlockId> pool;
+    std::vector<std::vector<std::uint32_t>> byLevel; ///< stash positions
+    std::vector<std::uint32_t> pool;
     std::vector<std::uint64_t> slotScratch;
     std::vector<StoredBlock> blockScratch;
     std::vector<ServerStorage::SlotWriteOp> writeScratch;
-    std::vector<BlockId> evictedScratch;
+    std::vector<std::uint32_t> evictedScratch;
 };
 
 } // namespace laoram::oram

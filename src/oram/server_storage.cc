@@ -141,37 +141,15 @@ ServerStorage::initialise()
     }
 }
 
-void
-ServerStorage::decodePlaintext(const std::uint8_t *rec,
-                               StoredBlock &out) const
+const std::uint8_t *
+ServerStorage::plaintextRecord(std::uint64_t slot,
+                               const std::uint8_t *rec) const
 {
-    out.id = loadU64(rec);
-    out.leaf = loadU64(rec + 8);
-    out.payload.assign(rec + kHeaderBytes, rec + recBytes);
-}
-
-void
-ServerStorage::decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
-                            StoredBlock &out) const
-{
-    if (enc.enabled()) {
-        // Decrypt into a scratch copy; the at-rest bytes stay
-        // encrypted.
-        cryptScratch.assign(rec, rec + recBytes);
-        enc.decryptSlot(slot, cryptScratch.data(), cryptScratch.size());
-        rec = cryptScratch.data();
-    }
-    decodePlaintext(rec, out);
-}
-
-void
-ServerStorage::decodeStagedInPlace(std::uint64_t slot,
-                                   std::uint8_t *rec,
-                                   StoredBlock &out) const
-{
-    if (enc.enabled())
-        enc.decryptSlot(slot, rec, recBytes);
-    decodePlaintext(rec, out);
+    if (!enc.enabled())
+        return rec;
+    cryptScratch.assign(rec, rec + recBytes);
+    enc.decryptSlot(slot, cryptScratch.data(), cryptScratch.size());
+    return cryptScratch.data();
 }
 
 void
@@ -198,15 +176,22 @@ ServerStorage::readSlot(std::uint64_t slot, StoredBlock &out) const
     LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
     if (sink)
         sink(slot, false);
+    auto decode = [&](const std::uint8_t *rec) {
+        out.id = loadU64(rec);
+        out.leaf = loadU64(rec + 8);
+        out.payload.assign(rec + kHeaderBytes, rec + recBytes);
+    };
     if (std::uint8_t *base = store->mappedBase()) {
         const WallClock::time_point t0 = WallClock::now();
-        decodeRecord(slot, base + slot * recBytes, out);
+        decode(plaintextRecord(slot, base + slot * recBytes));
         store->noteMappedRead(1, elapsedNs(t0));
         return;
     }
     staging.resize(recBytes);
     store->readSlot(slot, staging.data());
-    decodeStagedInPlace(slot, staging.data(), out);
+    if (enc.enabled())
+        enc.decryptSlot(slot, staging.data(), recBytes);
+    decode(staging.data());
 }
 
 void
@@ -241,7 +226,7 @@ ServerStorage::writeDummy(std::uint64_t slot)
 
 void
 ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
-                         std::vector<StoredBlock> &out) const
+                         RecordSink &into) const
 {
     // One branch per *path* when no sink is installed — the audit tap
     // only costs per-slot work while a probe is actually attached.
@@ -249,23 +234,63 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
         for (std::size_t i = 0; i < n; ++i)
             sink(slots[i], false);
     }
-    out.resize(n);
     if (std::uint8_t *base = store->mappedBase()) {
         store->willNeed(slots, n);
         const WallClock::time_point t0 = WallClock::now();
         for (std::size_t i = 0; i < n; ++i) {
             LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
                           " out of range");
-            decodeRecord(slots[i], base + slots[i] * recBytes, out[i]);
+            const std::uint8_t *rec =
+                plaintextRecord(slots[i], base + slots[i] * recBytes);
+            into.record(i, loadU64(rec), loadU64(rec + 8),
+                        rec + kHeaderBytes);
         }
         store->noteMappedRead(n, elapsedNs(t0));
         return;
     }
+    // Staged path: records are decrypted in place in the staging
+    // buffer, no extra copy.
     staging.resize(n * recBytes);
     store->readSlots(slots, n, staging.data());
-    for (std::size_t i = 0; i < n; ++i)
-        decodeStagedInPlace(slots[i], staging.data() + i * recBytes,
-                            out[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t *rec = staging.data() + i * recBytes;
+        if (enc.enabled())
+            enc.decryptSlot(slots[i], rec, recBytes);
+        into.record(i, loadU64(rec), loadU64(rec + 8),
+                    rec + kHeaderBytes);
+    }
+}
+
+void
+ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
+                         std::vector<StoredBlock> &out) const
+{
+    /** Copies every record into out[i]. */
+    class Fill final : public RecordSink
+    {
+      public:
+        Fill(std::vector<StoredBlock> &out, std::uint64_t payBytes)
+            : out(out), payBytes(payBytes)
+        {
+        }
+
+        void
+        record(std::size_t i, BlockId id, Leaf leaf,
+               const std::uint8_t *payload) override
+        {
+            out[i].id = id;
+            out[i].leaf = leaf;
+            out[i].payload.assign(payload, payload + payBytes);
+        }
+
+      private:
+        std::vector<StoredBlock> &out;
+        std::uint64_t payBytes;
+    };
+
+    out.resize(n);
+    Fill fill(out, payBytes);
+    readSlots(slots, n, fill);
 }
 
 void

@@ -94,9 +94,32 @@ class ServerStorage
         std::size_t len = 0;
     };
 
+    /** Receives the records of a vectored read, in slot order. */
+    class RecordSink
+    {
+      public:
+        /**
+         * Record @p i of the read (dummies included). @p payload
+         * points at payloadBytes() decoded bytes that stay valid only
+         * for the duration of the call.
+         */
+        virtual void record(std::size_t i, BlockId id, Leaf leaf,
+                            const std::uint8_t *payload) = 0;
+
+      protected:
+        ~RecordSink() = default;
+    };
+
     /**
-     * Vectored path read: fetch @p n slots as one backend operation,
-     * decoding into @p out (resized to n; payload capacity reused
+     * Vectored path read: fetch @p n slots as one backend operation
+     * and hand each decoded record to @p into, without copying it.
+     * On a mapped backend @p into runs inside the timed decode.
+     */
+    void readSlots(const std::uint64_t *slots, std::size_t n,
+                   RecordSink &into) const;
+
+    /**
+     * readSlots into @p out (resized to n; payload capacity reused
      * across calls). Slot i of @p slots lands in out[i].
      */
     void readSlots(const std::uint64_t *slots, std::size_t n,
@@ -148,23 +171,14 @@ class ServerStorage
   private:
     void initialise();
 
-    /** Decode one already-plaintext record into @p out. */
-    void decodePlaintext(const std::uint8_t *rec,
-                         StoredBlock &out) const;
-
     /**
-     * Decode an at-rest record the storage still owns (mapped path):
-     * decrypts into scratch so the stored bytes stay encrypted.
+     * Plaintext of an at-rest record the storage still owns (mapped
+     * path): decrypts into scratch so the stored bytes stay
+     * encrypted; unencrypted records are returned in place. Valid
+     * until the next call.
      */
-    void decodeRecord(std::uint64_t slot, const std::uint8_t *rec,
-                      StoredBlock &out) const;
-
-    /**
-     * Decode an at-rest record in a caller-owned staging buffer
-     * (staged path): decrypts in place, no extra copy.
-     */
-    void decodeStagedInPlace(std::uint64_t slot, std::uint8_t *rec,
-                             StoredBlock &out) const;
+    const std::uint8_t *plaintextRecord(std::uint64_t slot,
+                                        const std::uint8_t *rec) const;
 
     /** Serialise one write op into @p rec and encrypt in place. */
     void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);

@@ -303,7 +303,15 @@ struct LaoramCase
 {
     std::uint64_t superblock;
     bool fat;
+    /**
+     * Explicit, zero-initialised padding. gtest names each case by
+     * dumping the struct's bytes; implicit padding would leak stack
+     * garbage into the name and make it differ from run to run.
+     */
+    std::uint8_t pad[7]{};
 };
+static_assert(sizeof(LaoramCase) == 16,
+              "LaoramCase must have no implicit padding");
 
 class LaoramSweep : public ::testing::TestWithParam<LaoramCase>
 {

@@ -21,8 +21,21 @@ struct SweepCase
 {
     std::uint64_t superblock;
     workload::DatasetKind kind;
+    /**
+     * Explicit, zero-initialised padding. gtest names each case by
+     * dumping the struct's bytes; implicit padding would leak stack
+     * garbage into the name and make it differ from run to run.
+     */
+    std::uint8_t pad[4]{};
     std::uint64_t numBlocks;
+
+    SweepCase(std::uint64_t s, workload::DatasetKind k, std::uint64_t n)
+        : superblock(s), kind(k), numBlocks(n)
+    {
+    }
 };
+static_assert(sizeof(SweepCase) == 24,
+              "SweepCase must have no implicit padding");
 
 class PrepSweep : public ::testing::TestWithParam<SweepCase>
 {

@@ -166,7 +166,13 @@ class ShardedCheckpoint : public ::testing::Test
     void
     SetUp() override
     {
-        base = tempPath("ckpt");
+        // One base per test: ctest runs each test in its own process,
+        // concurrently under -j, so a shared base would let one test's
+        // cleanup delete another's live trees.
+        base = tempPath(
+            std::string("ckpt_")
+            + ::testing::UnitTest::GetInstance()->current_test_info()
+                  ->name());
         cleanup();
     }
 

@@ -23,7 +23,15 @@ struct BoundCase
 {
     std::uint64_t superblock;
     bool fat;
+    /**
+     * Explicit, zero-initialised padding. gtest names each case by
+     * dumping the struct's bytes; implicit padding would leak stack
+     * garbage into the name and make it differ from run to run.
+     */
+    std::uint8_t pad[7]{};
 };
+static_assert(sizeof(BoundCase) == 16,
+              "BoundCase must have no implicit padding");
 
 class TrafficBounds : public ::testing::TestWithParam<BoundCase>
 {

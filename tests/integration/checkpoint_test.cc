@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -82,9 +83,15 @@ class CheckpointRoundTrip : public ::testing::TestWithParam<bool>
     void
     SetUp() override
     {
-        const char *leg = GetParam() ? "enc" : "plain";
-        tree = tempPath(std::string("roundtrip_") + leg + ".tree");
-        sidecar = tempPath(std::string("roundtrip_") + leg + ".ckpt");
+        // One stem per test and leg: ctest runs each test in its own
+        // process, concurrently under -j, so a shared stem would let
+        // one test's SetUp truncate another's live tree.
+        std::string stem = std::string("roundtrip_")
+            + ::testing::UnitTest::GetInstance()->current_test_info()
+                  ->name();
+        std::replace(stem.begin(), stem.end(), '/', '_');
+        tree = tempPath(stem + ".tree");
+        sidecar = tempPath(stem + ".ckpt");
         std::remove(tree.c_str());
         std::remove(sidecar.c_str());
     }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "oram/evictor.hh"
 #include "util/rng.hh"
@@ -235,6 +237,100 @@ TEST(SlotNode, InvertsNodeSlotBase)
         for (std::uint64_t s = base; s < base + z; ++s)
             ASSERT_EQ(geom.slotNode(s), n) << "slot " << s;
     }
+}
+
+/**
+ * Naive greedy reference for a union write-back: visit union nodes
+ * deepest-first and fill each with any still-unplaced, unpinned block
+ * whose own path passes through it. Blocks eligible at a node are
+ * eligible at every union node above it, so the number placed does
+ * not depend on which eligible blocks a node takes.
+ *
+ * @return blocks left in the stash
+ */
+std::uint64_t
+naiveLeftInStash(const TreeGeometry &geom,
+                 const std::vector<std::pair<Leaf, bool>> &blocks,
+                 const std::vector<Leaf> &leaves)
+{
+    std::set<NodeIndex> nodes;
+    for (Leaf leaf : leaves)
+        for (unsigned level = 0; level < geom.numLevels(); ++level)
+            nodes.insert(geom.pathNode(leaf, level));
+    std::vector<bool> placed(blocks.size(), false);
+    std::uint64_t left = blocks.size();
+    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+        const unsigned level = geom.nodeLevel(*it);
+        std::uint64_t room = geom.bucketSize(level);
+        for (std::size_t b = 0; b < blocks.size() && room > 0; ++b) {
+            const auto &[leaf, pinned] = blocks[b];
+            if (placed[b] || pinned
+                || geom.pathNode(leaf, level) != *it)
+                continue;
+            placed[b] = true;
+            --room;
+            --left;
+        }
+    }
+    return left;
+}
+
+void
+checkUnionWriteBackAgainstNaive(const BucketProfile &profile,
+                                std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (int trial = 0; trial < 60; ++trial) {
+        TreeGeometry geom(64, 8, profile);
+        ServerStorage storage(geom, 8, false);
+        PositionMap posmap(64, geom.numLeaves(), rng);
+        Stash stash;
+        PathIo io(geom, storage, stash);
+
+        // Random stash contents: up to 48 distinct blocks, ~1 in 6
+        // pinned, each on a random leaf.
+        std::vector<std::pair<Leaf, bool>> blocks;
+        std::map<BlockId, Leaf> pinned;
+        const std::uint64_t count = 1 + rng.nextBounded(48);
+        for (BlockId id = 0; id < count; ++id) {
+            const Leaf leaf = rng.nextBounded(geom.numLeaves());
+            const bool pin = rng.nextBounded(6) == 0;
+            posmap.set(id, leaf);
+            stash.put(id, leaf, std::vector<std::uint8_t>(8, 1))
+                .pinned = pin;
+            blocks.emplace_back(leaf, pin);
+            if (pin)
+                pinned[id] = leaf;
+        }
+        // Random leaf set of 1-6 paths, duplicates allowed.
+        std::vector<Leaf> leaves;
+        const std::uint64_t k = 1 + rng.nextBounded(6);
+        for (std::uint64_t i = 0; i < k; ++i)
+            leaves.push_back(rng.nextBounded(geom.numLeaves()));
+
+        io.writePathsBatched(leaves);
+
+        ASSERT_EQ(stash.size(), naiveLeftInStash(geom, blocks, leaves))
+            << "trial " << trial;
+        ASSERT_EQ(auditTree(geom, storage, stash, posmap), "")
+            << "trial " << trial;
+        for (const auto &[id, leaf] : pinned) {
+            const StashEntry *e = stash.find(id);
+            ASSERT_NE(e, nullptr) << "pinned block " << id << " evicted";
+            EXPECT_TRUE(e->pinned);
+            EXPECT_EQ(e->leaf, leaf);
+        }
+    }
+}
+
+TEST(UnionWriteBack, MatchesNaiveGreedyOnUniformTree)
+{
+    checkUnionWriteBackAgainstNaive(BucketProfile::uniform(2), 101);
+}
+
+TEST(UnionWriteBack, MatchesNaiveGreedyOnFatTree)
+{
+    checkUnionWriteBackAgainstNaive(BucketProfile::linear(1, 4), 202);
 }
 
 } // namespace
