@@ -84,7 +84,7 @@ runConfig(const std::string &label, std::uint64_t superblock, bool fat,
     out.label = label;
     std::uint64_t served = 0, next_sample = sample_every;
     for (const core::SuperblockBin &bin : res.bins) {
-        engine.accessBin(bin);
+        engine.accessBatch(&bin, 1);
         served += bin.rawAccesses;
         if (served < warmup)
             continue;

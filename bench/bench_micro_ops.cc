@@ -76,7 +76,7 @@ BM_LaoramBinAccess(benchmark::State &state)
             state.ResumeTiming();
         }
         const core::SuperblockBin &bin = window.bins[next++];
-        engine.accessBin(bin);
+        engine.accessBatch(&bin, 1);
         accesses += bin.rawAccesses;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(accesses));

@@ -42,7 +42,7 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
     const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
@@ -70,7 +70,7 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
         }
     }
 
-    writePathMetered(current);
+    pathIo_.writePaths(&current, 1);
     backgroundEvict();
     mtr.observeStashSize(stash_.size());
 }
@@ -106,14 +106,10 @@ Laoram::serveWindow(const PreprocessResult &window)
     nFutureLinked += window.futureLinked;
     ++nWindowsServed;
 
-    if (lcfg.batchAccesses == 0) {
-        for (const SuperblockBin &bin : window.bins)
-            accessBin(bin);
-        return;
-    }
-
     // Group consecutive bins into training batches by raw access
-    // count and serve each batch with one union read/write.
+    // count and serve each batch with one union read/write. With
+    // batchAccesses == 0 every bin closes its own batch, so each bin
+    // is one union access of its members' distinct paths.
     std::size_t first = 0;
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < window.bins.size(); ++i) {
@@ -139,6 +135,7 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     std::uint64_t raw = 0;
     for (std::size_t b = 0; b < count; ++b) {
         const SuperblockBin &bin = bins[b];
+        LAORAM_ASSERT(!bin.members.empty(), "empty superblock bin");
         LAORAM_ASSERT(bin.members.size() == bin.nextPaths.size(),
                       "bin missing future-path metadata");
         raw += bin.rawAccesses;
@@ -154,7 +151,7 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
         std::unique(scratchLeaves.begin(), scratchLeaves.end()),
         scratchLeaves.end());
 
-    readPathsBatchedMetered(scratchLeaves);
+    pathIo_.readPaths(scratchLeaves.data(), scratchLeaves.size());
 
     // Resolve every member's future path first — random draws happen
     // in stream order, so the rng stream matches the per-member code
@@ -185,63 +182,7 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
         touchMember(scratchRemapIds[i], entry.payload);
     }
 
-    writePathsBatchedMetered(scratchLeaves);
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
-}
-
-void
-Laoram::accessBin(const SuperblockBin &bin)
-{
-    LAORAM_ASSERT(!bin.members.empty(), "empty superblock bin");
-    LAORAM_ASSERT(bin.members.size() == bin.nextPaths.size(),
-                  "bin missing future-path metadata");
-    mtr.recordLogicalAccesses(bin.rawAccesses);
-
-    // Collect the *distinct* current paths of the members. In steady
-    // state every member was remapped onto this bin's path by its
-    // previous access, so this collapses to a single leaf — the whole
-    // point of the look-ahead (paper §IV).
-    scratchLeaves.clear();
-    for (BlockId id : bin.members) {
-        if (stash_.contains(id))
-            mtr.recordStashHit();
-        scratchLeaves.push_back(posmap_.get(id));
-    }
-    std::sort(scratchLeaves.begin(), scratchLeaves.end());
-    scratchLeaves.erase(
-        std::unique(scratchLeaves.begin(), scratchLeaves.end()),
-        scratchLeaves.end());
-
-    // Union-batched read: shared prefix nodes are fetched once. In
-    // steady state this degenerates to a single path read per bin —
-    // the S-fold reduction the paper reports.
-    readPathsBatchedMetered(scratchLeaves);
-
-    // Remap every member to its future-bin path (uniform random when
-    // the look-ahead window holds no further occurrence — either way
-    // the new path is uniform and independent, §VI). Paths are
-    // resolved first, in stream order so the rng stream is unchanged,
-    // then applied as one batched position-map pass before the
-    // member touches.
-    scratchRemapLeaves.clear();
-    for (std::size_t j = 0; j < bin.members.size(); ++j) {
-        scratchRemapLeaves.push_back(
-            bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
-                                              : bin.nextPaths[j]);
-    }
-    posmap_.setBatch(bin.members.data(), scratchRemapLeaves.data(),
-                     bin.members.size());
-    for (std::size_t j = 0; j < bin.members.size(); ++j) {
-        oram::StashEntry &entry =
-            stashEntryFor(bin.members[j], scratchRemapLeaves[j]);
-        touchMember(bin.members[j], entry.payload);
-    }
-
-    // Write the fetched path union back (deepest-first greedy; each
-    // union node is written exactly once).
-    writePathsBatchedMetered(scratchLeaves);
-
+    pathIo_.writePaths(scratchLeaves.data(), scratchLeaves.size());
     backgroundEvict();
     mtr.observeStashSize(stash_.size());
 }

@@ -123,16 +123,12 @@ class Laoram final : public oram::TreeOramBase
     static constexpr std::uint64_t kPrepSeedSalt = 0x1AA0;
 
     /**
-     * Serve one preprocessed bin: read the distinct current paths of
-     * its members, touch every member, remap each to its future path,
-     * write the fetched paths back, then background-evict.
-     */
-    void accessBin(const SuperblockBin &bin);
-
-    /**
      * Serve a run of consecutive bins as one training batch: one
-     * union read for every path the batch touches, all member touches
-     * and remaps, one union write-back, then background eviction.
+     * union read for every distinct current path the batch touches,
+     * every member remapped to its future path and touched, one
+     * union write-back, then background eviction. A single bin is a
+     * batch of one; in steady state its members share one path, the
+     * S-fold path-read reduction of paper §IV.
      */
     void accessBatch(const SuperblockBin *bins, std::size_t count);
 

@@ -81,37 +81,8 @@ TrafficCounters::operator+=(const TrafficCounters &other)
 TrafficMeter::TrafficMeter(const CostModel &model) : model(model) {}
 
 void
-TrafficMeter::recordPathRead(std::uint64_t bytes, std::uint64_t blocks)
-{
-    ++c.pathReads;
-    c.blocksRead += blocks;
-    c.bytesRead += bytes;
-    clk.advanceNs(model.pathReadNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathReads.inc();
-        m.bytesRead.add(bytes);
-    }
-}
-
-void
-TrafficMeter::recordPathWrite(std::uint64_t bytes, std::uint64_t blocks)
-{
-    ++c.pathWrites;
-    c.blocksWritten += blocks;
-    c.bytesWritten += bytes;
-    clk.advanceNs(model.pathWriteNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathWrites.inc();
-        m.bytesWritten.add(bytes);
-    }
-}
-
-void
-TrafficMeter::recordBatchedPathReads(std::uint64_t paths,
-                                     std::uint64_t bytes,
-                                     std::uint64_t blocks)
+TrafficMeter::recordPathReads(std::uint64_t paths, std::uint64_t bytes,
+                              std::uint64_t blocks)
 {
     c.pathReads += paths;
     c.blocksRead += blocks;
@@ -125,9 +96,8 @@ TrafficMeter::recordBatchedPathReads(std::uint64_t paths,
 }
 
 void
-TrafficMeter::recordBatchedPathWrites(std::uint64_t paths,
-                                      std::uint64_t bytes,
-                                      std::uint64_t blocks)
+TrafficMeter::recordPathWrites(std::uint64_t paths, std::uint64_t bytes,
+                               std::uint64_t blocks)
 {
     c.pathWrites += paths;
     c.blocksWritten += blocks;
@@ -203,52 +173,6 @@ TrafficMeter::restoreState(const TrafficCounters &counters,
     c = counters;
     clk.reset();
     clk.advancePs(clockPs);
-}
-
-void
-TrafficMeter::registerStats(StatRegistry &registry,
-                            const std::string &prefix) const
-{
-    auto formula = [&registry, this, &prefix](
-                       const char *name, const char *desc,
-                       auto getter) {
-        registry.formula(prefix + name, desc,
-                         [this, getter] { return getter(c); });
-    };
-    formula("logicalAccesses", "application block requests",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.logicalAccesses);
-            });
-    formula("pathReads", "real path fetches",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.pathReads);
-            });
-    formula("pathWrites", "path write-backs",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.pathWrites);
-            });
-    formula("dummyReads", "background-eviction accesses",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.dummyReads);
-            });
-    formula("bytesMoved", "total server bytes read+written",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.totalBytes());
-            });
-    formula("stashPeak", "stash high-water mark",
-            [](const TrafficCounters &x) {
-                return static_cast<double>(x.stashPeak);
-            });
-    formula("dummyReadsPerAccess", "Table II metric",
-            [](const TrafficCounters &x) {
-                return x.dummyReadsPerAccess();
-            });
-    formula("pathReadsPerAccess", "look-ahead coalescing metric",
-            [](const TrafficCounters &x) {
-                return x.pathReadsPerAccess();
-            });
-    registry.formula(prefix + "simMs", "simulated milliseconds",
-                     [this] { return clk.milliseconds(); });
 }
 
 void

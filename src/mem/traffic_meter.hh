@@ -13,12 +13,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "mem/cost_model.hh"
 #include "mem/sim_clock.hh"
 #include "obs/metrics.hh"
-#include "util/stats.hh"
 
 namespace laoram::mem {
 
@@ -110,22 +108,16 @@ class TrafficMeter
             meterObs().stashHits.inc();
     }
 
-    /** A real path read of @p blocks slots totalling @p bytes. */
-    void recordPathRead(std::uint64_t bytes, std::uint64_t blocks);
-    /** A path write-back. */
-    void recordPathWrite(std::uint64_t bytes, std::uint64_t blocks);
-
     /**
-     * A batched read of @p paths paths whose node-union totalled
-     * @p blocks slots / @p bytes (shared prefixes fetched once). The
-     * burst pays one request latency.
+     * A read of @p paths paths whose node-union totalled @p blocks
+     * slots / @p bytes (shared prefixes fetched once). The burst pays
+     * one request latency.
      */
-    void recordBatchedPathReads(std::uint64_t paths, std::uint64_t bytes,
-                                std::uint64_t blocks);
-    /** Batched write-back of a path union. */
-    void recordBatchedPathWrites(std::uint64_t paths,
-                                 std::uint64_t bytes,
-                                 std::uint64_t blocks);
+    void recordPathReads(std::uint64_t paths, std::uint64_t bytes,
+                         std::uint64_t blocks);
+    /** Write-back of a path union. */
+    void recordPathWrites(std::uint64_t paths, std::uint64_t bytes,
+                          std::uint64_t blocks);
     /** A dummy background-eviction access (full read + write). */
     void recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks);
     /**
@@ -155,14 +147,6 @@ class TrafficMeter
 
     /** Human-readable one-block summary. */
     void printSummary(std::ostream &os, const char *label) const;
-
-    /**
-     * Publish this meter into a StatRegistry under @p prefix (e.g.
-     * "laoram."): counters are exported as formulas evaluated at dump
-     * time, so one registration stays live for the whole run.
-     */
-    void registerStats(StatRegistry &registry,
-                       const std::string &prefix) const;
 
   private:
     CostModel model;

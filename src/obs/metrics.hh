@@ -19,11 +19,6 @@
  *    shares the same handle, so the sampled series is the live
  *    process-wide total that reconciles with the end-of-run report
  *    sums.
- *
- * This registry is deliberately separate from util/stats.hh's
- * StatRegistry: that one is a single-threaded end-of-run formula
- * dump, this one is the thread-safe live surface the sampler reads
- * mid-run.
  */
 
 #ifndef LAORAM_OBS_METRICS_HH

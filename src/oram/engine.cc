@@ -62,7 +62,7 @@ TreeOramBase::TreeOramBase(const EngineConfig &cfg)
                cfg.storage),
       posmap_(cfg.numBlocks, geom.numLeaves(), rng),
       stash_(),
-      pathIo_(geom, storage_, stash_)
+      pathIo_(geom, storage_, stash_, mtr)
 {
     // The actual restore (when cfg.checkpoint.restore is set) runs in
     // the final engine's constructor, which knows the full snapshot
@@ -301,40 +301,6 @@ TreeOramBase::stashEntryFor(BlockId id, Leaf leaf)
 }
 
 void
-TreeOramBase::readPathMetered(Leaf leaf)
-{
-    pathIo_.readPath(leaf);
-    mtr.recordPathRead(geom.pathBytes(), geom.pathSlots());
-}
-
-void
-TreeOramBase::writePathMetered(Leaf leaf)
-{
-    pathIo_.writePath(leaf);
-    mtr.recordPathWrite(geom.pathBytes(), geom.pathSlots());
-}
-
-void
-TreeOramBase::readPathsBatchedMetered(const std::vector<Leaf> &leaves)
-{
-    if (leaves.empty())
-        return;
-    const std::uint64_t slots = pathIo_.readPathsBatched(leaves);
-    mtr.recordBatchedPathReads(leaves.size(), slots * cfg.blockBytes,
-                               slots);
-}
-
-void
-TreeOramBase::writePathsBatchedMetered(const std::vector<Leaf> &leaves)
-{
-    if (leaves.empty())
-        return;
-    const std::uint64_t slots = pathIo_.writePathsBatched(leaves);
-    mtr.recordBatchedPathWrites(leaves.size(), slots * cfg.blockBytes,
-                                slots);
-}
-
-void
 TreeOramBase::backgroundEvict()
 {
     if (stash_.size() <= cfg.stashHighWater)
@@ -351,10 +317,7 @@ TreeOramBase::backgroundEvict()
     std::uint64_t issued = 0;
     while (stash_.size() > cfg.stashLowWater
            && issued < kMaxDummiesPerBurst) {
-        const Leaf leaf = randomLeaf();
-        pathIo_.readPath(leaf);
-        pathIo_.writePath(leaf);
-        mtr.recordDummyAccess(geom.pathBytes(), geom.pathSlots());
+        pathIo_.dummyAccess(randomLeaf());
         ++issued;
     }
     if (issued == kMaxDummiesPerBurst) {

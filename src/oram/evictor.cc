@@ -9,8 +9,8 @@
 namespace laoram::oram {
 
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
-               Stash &stash)
-    : geom(geom), storage(storage), stash(stash)
+               Stash &stash, mem::TrafficMeter &meter)
+    : geom(geom), storage(storage), stash(stash), meter(meter)
 {
 }
 
@@ -29,36 +29,39 @@ PathIo::record(std::size_t, BlockId id, Leaf leaf,
 }
 
 std::uint64_t
-PathIo::absorbSlots()
+PathIo::readPaths(const Leaf *leaves, std::size_t k)
 {
-    absorbed = 0;
-    storage.readSlots(slotScratch.data(), slotScratch.size(), *this);
-    return absorbed;
+    buildUnion(leaves, k);
+    const std::uint64_t blocks = fetchUnion();
+    const std::uint64_t slots = slotScratch.size();
+    meter.recordPathReads(k, slots * geom.blockBytes(), slots);
+    return blocks;
 }
 
 std::uint64_t
-PathIo::readPath(Leaf leaf)
+PathIo::writePaths(const Leaf *leaves, std::size_t k)
 {
-    slotScratch.clear();
-    for (unsigned level = 0; level < geom.numLevels(); ++level) {
-        const std::uint64_t base =
-            geom.nodeSlotBase(geom.pathNode(leaf, level));
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s)
-            slotScratch.push_back(base + s);
-    }
-    return absorbSlots();
+    buildUnion(leaves, k);
+    const std::uint64_t blocks = evictUnion();
+    const std::uint64_t slots = writeScratch.size();
+    meter.recordPathWrites(k, slots * geom.blockBytes(), slots);
+    return blocks;
 }
 
-std::uint64_t
-PathIo::writePath(Leaf leaf)
+void
+PathIo::dummyAccess(Leaf leaf)
 {
-    return writeUnion(&leaf, 1);
+    buildUnion(&leaf, 1);
+    fetchUnion();
+    evictUnion();
+    const std::uint64_t slots = slotScratch.size();
+    meter.recordDummyAccess(slots * geom.blockBytes(), slots);
 }
 
 void
 PathIo::buildUnion(const Leaf *leaves, std::size_t k)
 {
+    LAORAM_ASSERT(k > 0, "path access over an empty path set");
     sortedLeaves.assign(leaves, leaves + k);
     std::sort(sortedLeaves.begin(), sortedLeaves.end());
     sortedLeaves.erase(
@@ -92,9 +95,8 @@ PathIo::buildUnion(const Leaf *leaves, std::size_t k)
 }
 
 std::uint64_t
-PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
+PathIo::fetchUnion()
 {
-    buildUnion(leaves.data(), leaves.size());
     slotScratch.clear();
     for (NodeIndex node : unionNodes) {
         const std::uint64_t base = geom.nodeSlotBase(node);
@@ -102,22 +104,14 @@ PathIo::readPathsBatched(const std::vector<Leaf> &leaves)
         for (std::uint64_t s = 0; s < z; ++s)
             slotScratch.push_back(base + s);
     }
-    absorbSlots();
-    return slotScratch.size();
+    absorbed = 0;
+    storage.readSlots(slotScratch.data(), slotScratch.size(), *this);
+    return absorbed;
 }
 
 std::uint64_t
-PathIo::writePathsBatched(const std::vector<Leaf> &leaves)
+PathIo::evictUnion()
 {
-    writeUnion(leaves.data(), leaves.size());
-    return writeScratch.size();
-}
-
-std::uint64_t
-PathIo::writeUnion(const Leaf *leaves, std::size_t k)
-{
-    LAORAM_ASSERT(k > 0, "write-back of an empty path set");
-    buildUnion(leaves, k);
     const unsigned levels = geom.numLevels();
     if (pending.size() < unionNodes.size())
         pending.resize(unionNodes.size());

@@ -1,9 +1,10 @@
 /**
  * @file
- * Path I/O: the two primitive server interactions every tree-based
- * engine is built from — reading a full path into the stash, and the
- * greedy deepest-first write-back that refills the same path from the
- * stash (PathORAM §3.3 / paper §II-C steps 2 and 5).
+ * Path I/O: the one metered primitive every tree-based engine reads,
+ * writes and evicts through — fetching the union of one or more
+ * paths into the stash, and the greedy deepest-first write-back that
+ * refills the same union from the stash (PathORAM §3.3 / paper §II-C
+ * steps 2 and 5). A single path is the union of one.
  *
  * Also hosts the tree auditor used by tests to verify the core
  * PathORAM invariant: every initialised real block lies either in the
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/traffic_meter.hh"
 #include "oram/position_map.hh"
 #include "oram/server_storage.hh"
 #include "oram/stash.hh"
@@ -26,60 +28,56 @@
 namespace laoram::oram {
 
 /**
- * Stateless-per-call path reader/writer bound to one (geometry,
- * storage, stash) triple. Engines own one and call it for every real
- * or dummy access. Its scratch buffers are reused across calls, so a
- * warmed-up PathIo allocates nothing per path.
+ * Path reader/writer bound to one (geometry, storage, stash, meter)
+ * quadruple. Engines own one and call it for every real or dummy
+ * access; each call charges the meter with the slots it moved
+ * (bytes = slots x geom.blockBytes()). Its scratch buffers are reused
+ * across calls, so a warmed-up PathIo allocates nothing per path.
+ *
+ * Every call works on the union of its paths: each union node is
+ * read or written exactly once — re-reading a shared prefix node
+ * would only fetch slots the client already absorbed, and
+ * sequential per-path write-backs would overwrite shared prefix
+ * nodes populated by the previous path. Union nodes are visited
+ * deepest-first (descending heap index), for one path too.
  */
 class PathIo : private ServerStorage::RecordSink
 {
   public:
-    PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash);
+    PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash,
+           mem::TrafficMeter &meter);
 
     /**
-     * Read every slot on @p leaf's path; absorb real blocks into the
-     * stash (their assigned leaf comes from the stored record).
+     * Read the union of @p k (>= 1) paths into the stash — a LAORAM
+     * superblock bin, a PrORAM merge, or one PathORAM path — and
+     * charge @p k path reads. Real blocks are absorbed with the leaf
+     * recorded in the tree.
      *
      * @return number of real blocks absorbed
      */
-    std::uint64_t readPath(Leaf leaf);
+    std::uint64_t readPaths(const Leaf *leaves, std::size_t k);
 
     /**
-     * Greedy write-back along @p leaf's path: writePathsBatched over
-     * the single path.
+     * Greedy write-back over the union of @p k (>= 1) paths, charged
+     * as @p k path writes. Every unpinned stash block is bucketed
+     * once, in stash order, at the deepest union node its own path
+     * shares. Nodes are then filled deepest-first, each from the back
+     * of its list: its own candidates in stash order followed by its
+     * children's spill-over. Blocks that do not fit spill to the
+     * parent (which is always in the union, since path unions are
+     * ancestor-closed) and ultimately stay in the stash. Untaken
+     * slots are overwritten with encrypted dummies.
      *
      * @return number of real blocks written back
      */
-    std::uint64_t writePath(Leaf leaf);
+    std::uint64_t writePaths(const Leaf *leaves, std::size_t k);
 
     /**
-     * Batched read of several paths (a LAORAM superblock bin or a
-     * PrORAM merge): each node in the union of the paths is read
-     * exactly once — re-reading a shared prefix node would only fetch
-     * slots the client already absorbed.
-     *
-     * @return number of physical slots read (union size)
+     * One background-eviction dummy access (§II-E): read @p leaf's
+     * path and write it back without remapping anything, charged as
+     * one dummy access.
      */
-    std::uint64_t readPathsBatched(const std::vector<Leaf> &leaves);
-
-    /**
-     * Batched greedy write-back over the union of several paths.
-     * Every unpinned stash block is bucketed once, in stash order, at
-     * the deepest union node its own path shares. Nodes are then
-     * filled deepest-first, each from the back of its list: its own
-     * candidates in stash order followed by its children's
-     * spill-over. Blocks that do not fit spill to the parent (which
-     * is always in the union, since path unions are ancestor-closed)
-     * and ultimately stay in the stash. Untaken slots are
-     * overwritten with encrypted dummies.
-     *
-     * Writing the union once — instead of path-by-path — is required
-     * for correctness: sequential per-path write-backs would overwrite
-     * shared prefix nodes populated by the previous path.
-     *
-     * @return number of physical slots written (union size)
-     */
-    std::uint64_t writePathsBatched(const std::vector<Leaf> &leaves);
+    void dummyAccess(Leaf leaf);
 
   private:
     /**
@@ -89,14 +87,21 @@ class PathIo : private ServerStorage::RecordSink
      */
     void buildUnion(const Leaf *leaves, std::size_t k);
 
-    /** The greedy write-back; @return real blocks written. */
-    std::uint64_t writeUnion(const Leaf *leaves, std::size_t k);
+    /**
+     * Fetch every unionNodes slot straight into the stash (one
+     * vectored storage op); slotScratch holds the slots read.
+     *
+     * @return number of real blocks absorbed
+     */
+    std::uint64_t fetchUnion();
 
     /**
-     * Vectored fetch of slotScratch straight into the stash (one
-     * storage op); returns the number of real blocks absorbed.
+     * The greedy write-back of unionNodes as one vectored storage
+     * op; writeScratch holds the slots written.
+     *
+     * @return number of real blocks written back
      */
-    std::uint64_t absorbSlots();
+    std::uint64_t evictUnion();
 
     /** RecordSink: a real record becomes a new stash entry. */
     void record(std::size_t i, BlockId id, Leaf leaf,
@@ -105,6 +110,7 @@ class PathIo : private ServerStorage::RecordSink
     const TreeGeometry &geom;
     ServerStorage &storage;
     Stash &stash;
+    mem::TrafficMeter &meter;
 
     std::uint64_t absorbed = 0;
     std::vector<std::uint64_t> slotScratch;

@@ -68,7 +68,7 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
 
     const Leaf current = posmap_.get(id); // shared by the whole group
 
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     // The whole superblock moves together to one fresh uniform leaf;
     // members other than the accessed one stay pinned client-side
@@ -83,7 +83,7 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
             entry.pinned = true;
     }
 
-    writePathMetered(current);
+    pathIo_.writePaths(&current, 1);
     backgroundEvict();
     mtr.observeStashSize(stash_.size());
 }
@@ -130,7 +130,7 @@ ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
     leaves.erase(std::unique(leaves.begin(), leaves.end()),
                  leaves.end());
 
-    readPathsBatchedMetered(leaves);
+    pathIo_.readPaths(leaves.data(), leaves.size());
 
     const Leaf next = randomLeaf();
     for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
@@ -142,7 +142,7 @@ ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
             entry.pinned = true; // retain for the predicted accesses
     }
 
-    writePathsBatchedMetered(leaves);
+    pathIo_.writePaths(leaves.data(), leaves.size());
 
     auto &g = groups[id / pcfg.groupSize];
     g.merged = true;
@@ -218,7 +218,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    readPathMetered(current);
+    pathIo_.readPaths(&current, 1);
 
     const Leaf next = randomLeaf();
     if (g.merged) {
@@ -238,7 +238,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         applyOp(entry, op, in, len, out);
     }
 
-    writePathMetered(current);
+    pathIo_.writePaths(&current, 1);
     backgroundEvict();
     mtr.observeStashSize(stash_.size());
 }

@@ -103,7 +103,8 @@ class RecursivePositionMap
     struct Level
     {
         Level(std::uint64_t blocks, std::uint64_t payloadBytes,
-              const RecursiveConfig &cfg, std::uint64_t salt);
+              const RecursiveConfig &cfg, std::uint64_t salt,
+              mem::TrafficMeter &meter);
 
         std::uint64_t blocks;
         TreeGeometry geom;

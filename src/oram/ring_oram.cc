@@ -121,8 +121,8 @@ RingOram::readPathSparse(Leaf leaf, BlockId id)
         }
     }
     // One physical block per bucket crosses the bus.
-    mtr.recordPathRead(geom.numLevels() * cfg.blockBytes,
-                       geom.numLevels());
+    mtr.recordPathReads(1, geom.numLevels() * cfg.blockBytes,
+                        geom.numLevels());
 }
 
 void
@@ -234,8 +234,9 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
     if (asDummy) {
         mtr.recordDummyAccess(writeBlocks * cfg.blockBytes, writeBlocks);
     } else {
-        mtr.recordPathRead(blocksIn * cfg.blockBytes, blocksIn);
-        mtr.recordPathWrite(writeBlocks * cfg.blockBytes, writeBlocks);
+        mtr.recordPathReads(1, blocksIn * cfg.blockBytes, blocksIn);
+        mtr.recordPathWrites(1, writeBlocks * cfg.blockBytes,
+                             writeBlocks);
     }
 }
 

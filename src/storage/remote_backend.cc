@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -130,11 +131,39 @@ sendAll(int fd, const std::uint8_t *data, std::size_t len)
     return true;
 }
 
-/** Receive exactly @p len bytes; false on EOF or a dead peer. */
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/**
+ * Receive exactly @p len bytes; false on EOF, a dead peer, or once
+ * @p deadline passes. Without a deadline this is a plain blocking
+ * recv loop — no poll() per call on the node's serve loop.
+ */
 bool
-recvAll(int fd, std::uint8_t *data, std::size_t len)
+recvAll(int fd, std::uint8_t *data, std::size_t len,
+        const Deadline &deadline)
 {
     while (len > 0) {
+        if (deadline) {
+            const auto now = std::chrono::steady_clock::now();
+            if (now >= *deadline)
+                return false;
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    *deadline - now)
+                    .count();
+            pollfd pfd{};
+            pfd.fd = fd;
+            pfd.events = POLLIN;
+            const int ready = ::poll(
+                &pfd, 1, static_cast<int>(left > 0 ? left : 1));
+            if (ready < 0) {
+                if (errno == EINTR)
+                    continue;
+                return false;
+            }
+            if (ready == 0)
+                return false; // deadline expired: the server is hung
+        }
         const ssize_t n = ::recv(fd, data, len, 0);
         if (n < 0) {
             if (errno == EINTR)
@@ -151,81 +180,27 @@ recvAll(int fd, std::uint8_t *data, std::size_t len)
 
 /**
  * Receive one frame into @p body (replacing its contents); false when
- * the connection is gone.
+ * the connection is gone. @p timeoutMs > 0 bounds the whole frame; a
+ * timeout is indistinguishable from a dead peer to the caller — both
+ * mean "this connection is not going to answer". The default waits
+ * forever.
  */
 bool
-recvFrame(int fd, std::vector<std::uint8_t> &body)
+recvFrame(int fd, std::vector<std::uint8_t> &body,
+          std::int64_t timeoutMs = 0)
 {
+    Deadline deadline;
+    if (timeoutMs > 0)
+        deadline = std::chrono::steady_clock::now()
+                   + std::chrono::milliseconds(timeoutMs);
     std::uint32_t len = 0;
     if (!recvAll(fd, reinterpret_cast<std::uint8_t *>(&len),
-                 sizeof(len)))
+                 sizeof(len), deadline))
         return false;
     if (len > kMaxFrameBytes)
         return false; // protocol corruption; drop the connection
     body.resize(len);
-    return recvAll(fd, body.data(), len);
-}
-
-/** recvAll under an absolute deadline; false on EOF, error or timeout. */
-bool
-recvAllDeadline(int fd, std::uint8_t *data, std::size_t len,
-                std::chrono::steady_clock::time_point deadline)
-{
-    while (len > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline)
-            return false;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - now)
-                .count();
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int ready = ::poll(
-            &pfd, 1, static_cast<int>(left > 0 ? left : 1));
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (ready == 0)
-            return false; // deadline expired: the server is hung
-        const ssize_t n = ::recv(fd, data, len, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return false;
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/**
- * recvFrame with an optional whole-frame deadline (@p timeoutMs <= 0
- * waits forever). A timeout is indistinguishable from a dead peer to
- * the caller — both mean "this connection is not going to answer".
- */
-bool
-recvFrameDeadline(int fd, std::vector<std::uint8_t> &body,
-                  std::int64_t timeoutMs)
-{
-    if (timeoutMs <= 0)
-        return recvFrame(fd, body);
-    const auto deadline = std::chrono::steady_clock::now()
-                          + std::chrono::milliseconds(timeoutMs);
-    std::uint32_t len = 0;
-    if (!recvAllDeadline(fd, reinterpret_cast<std::uint8_t *>(&len),
-                         sizeof(len), deadline))
-        return false;
-    if (len > kMaxFrameBytes)
-        return false;
-    body.resize(len);
-    return recvAllDeadline(fd, body.data(), len, deadline);
+    return recvAll(fd, body.data(), len, deadline);
 }
 
 /** Frame + send @p body; false when the connection is gone. */
@@ -655,7 +630,7 @@ RemoteKvBackend::rawHello(int helloFd)
     appendU64(frame, sessionId);
     if (!sendFrame(helloFd, frame))
         return false;
-    if (!recvFrameDeadline(helloFd, frame, cfg.responseTimeoutMs))
+    if (!recvFrame(helloFd, frame, cfg.responseTimeoutMs))
         return false;
     constexpr std::size_t kHelloBody = 3 * sizeof(std::uint64_t) + 2;
     if (frame.size() != 9 + kHelloBody
@@ -802,7 +777,7 @@ RemoteKvBackend::sendRequest(RemoteOp op,
 bool
 RemoteKvBackend::recvResponseFrame(std::vector<std::uint8_t> &frame)
 {
-    return recvFrameDeadline(fd, frame, cfg.responseTimeoutMs);
+    return recvFrame(fd, frame, cfg.responseTimeoutMs);
 }
 
 void

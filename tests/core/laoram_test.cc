@@ -275,7 +275,9 @@ TEST(Laoram, AccessBinValidatesMetadata)
     bin.members = {1, 2};
     bin.rawAccesses = 2;
     // nextPaths missing -> hard failure, not silent corruption.
-    EXPECT_DEATH(oram.accessBin(bin), "future-path");
+    EXPECT_DEATH(oram.accessBatch(&bin, 1), "future-path");
+    SuperblockBin empty;
+    EXPECT_DEATH(oram.accessBatch(&empty, 1), "empty superblock bin");
 }
 
 TEST(Laoram, SuperblockSizeOneMatchesPathOramTraffic)

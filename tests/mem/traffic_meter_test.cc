@@ -36,11 +36,14 @@ TEST(SimClock, FractionalAccumulationIsExact)
 TEST(TrafficMeter, PathReadAccounting)
 {
     TrafficMeter m{CostModel{}};
-    m.recordPathRead(1024, 8);
-    m.recordPathRead(1024, 8);
-    EXPECT_EQ(m.counters().pathReads, 2u);
-    EXPECT_EQ(m.counters().blocksRead, 16u);
-    EXPECT_EQ(m.counters().bytesRead, 2048u);
+    m.recordPathReads(1, 1024, 8);
+    m.recordPathReads(1, 1024, 8);
+    // A union of three paths counts three path reads but only the
+    // slots its node union fetched.
+    m.recordPathReads(3, 1536, 12);
+    EXPECT_EQ(m.counters().pathReads, 5u);
+    EXPECT_EQ(m.counters().blocksRead, 28u);
+    EXPECT_EQ(m.counters().bytesRead, 3584u);
     EXPECT_EQ(m.counters().bytesWritten, 0u);
     EXPECT_GT(m.clock().nanoseconds(), 0.0);
 }
@@ -60,7 +63,7 @@ TEST(TrafficMeter, PerAccessRatios)
     TrafficMeter m{CostModel{}};
     m.recordLogicalAccesses(4);
     m.recordDummyAccess(10, 1);
-    m.recordPathRead(10, 1);
+    m.recordPathReads(1, 10, 1);
     EXPECT_DOUBLE_EQ(m.counters().dummyReadsPerAccess(), 0.25);
     EXPECT_DOUBLE_EQ(m.counters().pathReadsPerAccess(), 0.25);
 }
@@ -84,10 +87,10 @@ TEST(TrafficMeter, StashPeakIsHighWater)
 TEST(TrafficMeter, SinceComputesInterval)
 {
     TrafficMeter m{CostModel{}};
-    m.recordPathRead(100, 2);
+    m.recordPathReads(1, 100, 2);
     const TrafficCounters start = m.counters();
-    m.recordPathRead(100, 2);
-    m.recordPathWrite(50, 1);
+    m.recordPathReads(1, 100, 2);
+    m.recordPathWrites(1, 50, 1);
     const TrafficCounters d = m.counters().since(start);
     EXPECT_EQ(d.pathReads, 1u);
     EXPECT_EQ(d.pathWrites, 1u);
@@ -109,7 +112,7 @@ TEST(TrafficMeter, ReshuffleBypassesPathCounters)
 TEST(TrafficMeter, ResetClearsEverything)
 {
     TrafficMeter m{CostModel{}};
-    m.recordPathRead(100, 2);
+    m.recordPathReads(1, 100, 2);
     m.observeStashSize(99);
     m.reset();
     EXPECT_EQ(m.counters().pathReads, 0u);
@@ -117,22 +120,25 @@ TEST(TrafficMeter, ResetClearsEverything)
     EXPECT_EQ(m.clock().picoseconds(), 0u);
 }
 
-TEST(TrafficMeter, RegisterStatsPublishesLiveFormulas)
+TEST(TrafficMeter, MirrorsIntoLiveMetrics)
 {
+    // With metrics on, every record call also feeds the process-wide
+    // oram.* handles the sampler reads mid-run; with them off it
+    // touches only the meter's own counters.
+    MeterObs &live = meterObs();
+    const std::uint64_t reads = live.pathReads.get();
+    const std::uint64_t dummies = live.dummyReads.get();
+    const std::uint64_t bytes = live.bytesRead.get();
     TrafficMeter m{CostModel{}};
-    StatRegistry reg;
-    m.registerStats(reg, "engine.");
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.pathReads"), 0.0);
-    m.recordLogicalAccesses(4);
-    m.recordPathRead(100, 2);
+    obs::setMetricsEnabled(true);
+    m.recordPathReads(2, 100, 2);
     m.recordDummyAccess(100, 2);
-    // Formulas see post-registration updates (live view).
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.pathReads"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.dummyReads"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.dummyReadsPerAccess"),
-                     0.25);
-    EXPECT_DOUBLE_EQ(reg.formulaAt("engine.bytesMoved"), 300.0);
-    EXPECT_GT(reg.formulaAt("engine.simMs"), 0.0);
+    obs::setMetricsEnabled(false);
+    m.recordPathReads(1, 100, 2);
+    EXPECT_EQ(live.pathReads.get() - reads, 2u);
+    EXPECT_EQ(live.dummyReads.get() - dummies, 1u);
+    EXPECT_EQ(live.bytesRead.get() - bytes, 200u);
+    EXPECT_EQ(m.counters().pathReads, 3u);
 }
 
 TEST(TrafficMeter, SummaryMentionsLabel)

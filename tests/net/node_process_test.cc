@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -72,9 +73,15 @@ class NodeProcess
         for (const auto &a : args)
             argv.push_back(a.c_str());
         argv.push_back(nullptr);
+        const pid_t parent = ::getpid();
         pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
+            // Die with the test process however it ends: a fatal in
+            // the client exits without running ~NodeProcess.
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                ::_exit(127); // the test died before prctl took hold
             ::execv(bin.c_str(),
                     const_cast<char *const *>(argv.data()));
             ::_exit(127); // exec failed
@@ -90,7 +97,12 @@ class NodeProcess
         pid = -1;
     }
 
-    /** SIGTERM + reap; returns the node's exit code (-1 on signal). */
+    /**
+     * SIGTERM + reap; returns the node's exit code (-1 on signal). A
+     * node that has not drained within kDrainTimeout is SIGKILLed and
+     * reaped, and the running test fails — a hung drain must never
+     * stall the suite or leave an orphan behind.
+     */
     int
     terminate()
     {
@@ -98,7 +110,18 @@ class NodeProcess
             return -1;
         ::kill(pid, SIGTERM);
         int status = 0;
-        ::waitpid(pid, &status, 0);
+        const auto deadline =
+            std::chrono::steady_clock::now() + kDrainTimeout;
+        pid_t reaped = 0;
+        while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (reaped == 0) {
+            ADD_FAILURE() << "laoram_node " << pid
+                          << " ignored SIGTERM; killed";
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+        }
         pid = -1;
         return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     }
@@ -106,6 +129,8 @@ class NodeProcess
     bool running() const { return pid != -1; }
 
   private:
+    static constexpr std::chrono::seconds kDrainTimeout{20};
+
     pid_t pid = -1;
 };
 
@@ -181,8 +206,15 @@ class NodeProcessTest : public ::testing::Test
     void
     SetUp() override
     {
-        sock = ::testing::TempDir() + "laoram_nodeproc.sock";
-        tree = ::testing::TempDir() + "laoram_nodeproc.tree";
+        // Per-test, per-process paths: ctest -j runs each test in
+        // its own process, possibly concurrently and repeatedly.
+        const std::string stem =
+            ::testing::TempDir() + "laoram_nodeproc_"
+            + ::testing::UnitTest::GetInstance()->current_test_info()
+                  ->name()
+            + "_" + std::to_string(::getpid());
+        sock = stem + ".sock";
+        tree = stem + ".tree";
         cleanup();
     }
 
@@ -223,7 +255,7 @@ class NodeProcessTest : public ::testing::Test
 TEST_F(NodeProcessTest, SigtermDrainsAndExitsCleanly)
 {
     node.start(nodeArgs(false));
-    waitDialable("unix:" + sock);
+    ASSERT_NO_FATAL_FAILURE(waitDialable("unix:" + sock));
 
     {
         core::LaoramConfig cfg = engineConfig(7);
@@ -265,7 +297,7 @@ TEST_F(NodeProcessTest, SigkillRestartFinishesByteIdentically)
             core::snapshotOf(reference);
 
         node.start(nodeArgs(false));
-        waitDialable("unix:" + sock);
+        ASSERT_NO_FATAL_FAILURE(waitDialable("unix:" + sock));
 
         core::LaoramConfig rcfg = cfg;
         rcfg.base.storage.kind = storage::BackendKind::Remote;

@@ -26,8 +26,22 @@ struct BatchedFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(13),
           posmap(64, geom.numLeaves(), rng),
-          io(geom, storage, stash)
+          io(geom, storage, stash, meter)
     {
+    }
+
+    /** Union read of @p leaves; @return real blocks absorbed. */
+    std::uint64_t
+    readAll(const std::vector<Leaf> &leaves)
+    {
+        return io.readPaths(leaves.data(), leaves.size());
+    }
+
+    /** Union write-back of @p leaves; @return real blocks written. */
+    std::uint64_t
+    writeAll(const std::vector<Leaf> &leaves)
+    {
+        return io.writePaths(leaves.data(), leaves.size());
     }
 
     std::vector<std::uint8_t>
@@ -50,6 +64,7 @@ struct BatchedFixture : public ::testing::Test
     Rng rng;
     PositionMap posmap;
     Stash stash;
+    mem::TrafficMeter meter{mem::CostModel{}};
     PathIo io;
 };
 
@@ -62,7 +77,7 @@ TEST_F(BatchedFixture, UnionReadVisitsSharedNodesOnce)
     });
     // Sibling leaves share all levels but the last.
     const std::vector<Leaf> leaves{0, 1};
-    io.readPathsBatched(leaves);
+    readAll(leaves);
     const std::uint64_t z = 2;
     // Union: (L+1) + 1 nodes (only the leaf differs).
     const std::uint64_t expect =
@@ -79,7 +94,7 @@ TEST_F(BatchedFixture, UnionReadOfDisjointPathsVisitsBoth)
     });
     // Leaves in opposite halves share only the root.
     const std::vector<Leaf> leaves{0, geom.numLeaves() - 1};
-    io.readPathsBatched(leaves);
+    readAll(leaves);
     const std::uint64_t z = 2;
     const std::uint64_t expect = (2 * geom.numLevels() - 1) * z;
     EXPECT_EQ(slot_reads, expect);
@@ -97,7 +112,7 @@ TEST_F(BatchedFixture, OverlappingWriteBackLosesNothing)
     stage(1, elsewhere);
     stage(2, elsewhere ^ 1);
 
-    io.writePathsBatched({left, right});
+    writeAll({left, right});
 
     // Root Z=2: both blocks must be in the tree now (not lost, not
     // duplicated) — audit verifies global consistency.
@@ -152,8 +167,8 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
         std::sort(leaves.begin(), leaves.end());
         leaves.erase(std::unique(leaves.begin(), leaves.end()),
                      leaves.end());
-        io.readPathsBatched(leaves);
-        io.writePathsBatched(leaves);
+        readAll(leaves);
+        writeAll(leaves);
 
         ASSERT_EQ(auditTree(geom, storage, stash, posmap), "")
             << "round " << round;
@@ -178,12 +193,13 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
 
 TEST_F(BatchedFixture, SingleLeafBatchedEqualsPlainWrite)
 {
-    // writePathsBatched({leaf}) must behave exactly like
-    // writePath(leaf) — same placements, same slot count.
+    // A one-leaf union is exactly the plain path write-back: every
+    // slot of the path is written once and both blocks fit.
     stage(5, 3);
     stage(9, 3);
-    const std::uint64_t slots = io.writePathsBatched({Leaf{3}});
-    EXPECT_EQ(slots, geom.pathSlots());
+    EXPECT_EQ(writeAll({Leaf{3}}), 2u);
+    EXPECT_EQ(meter.counters().pathWrites, 1u);
+    EXPECT_EQ(meter.counters().blocksWritten, geom.pathSlots());
     EXPECT_TRUE(stash.empty());
     EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
 }
@@ -192,10 +208,10 @@ TEST_F(BatchedFixture, PinnedEntriesSurviveBatchedWrite)
 {
     stage(7, 4);
     stash.find(7)->pinned = true;
-    io.writePathsBatched({Leaf{4}});
+    writeAll({Leaf{4}});
     EXPECT_TRUE(stash.contains(7)) << "pinned block must be retained";
     stash.find(7)->pinned = false;
-    io.writePathsBatched({Leaf{4}});
+    writeAll({Leaf{4}});
     EXPECT_FALSE(stash.contains(7));
 }
 
@@ -203,7 +219,8 @@ TEST_F(BatchedFixture, PinnedEntriesSurvivePlainWrite)
 {
     stage(8, 6);
     stash.find(8)->pinned = true;
-    io.writePath(6);
+    const Leaf leaf = 6;
+    io.writePaths(&leaf, 1);
     EXPECT_TRUE(stash.contains(8));
 }
 
@@ -213,7 +230,7 @@ TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)
     // that leaf's bucket, not at the shared root.
     const Leaf target = 5;
     stage(11, target);
-    io.writePathsBatched({target, target ^ 1});
+    writeAll({target, target ^ 1});
 
     const NodeIndex leaf_node =
         geom.pathNode(target, geom.leafLevel());
@@ -285,7 +302,8 @@ checkUnionWriteBackAgainstNaive(const BucketProfile &profile,
         ServerStorage storage(geom, 8, false);
         PositionMap posmap(64, geom.numLeaves(), rng);
         Stash stash;
-        PathIo io(geom, storage, stash);
+        mem::TrafficMeter meter{mem::CostModel{}};
+        PathIo io(geom, storage, stash, meter);
 
         // Random stash contents: up to 48 distinct blocks, ~1 in 6
         // pinned, each on a random leaf.
@@ -308,7 +326,7 @@ checkUnionWriteBackAgainstNaive(const BucketProfile &profile,
         for (std::uint64_t i = 0; i < k; ++i)
             leaves.push_back(rng.nextBounded(geom.numLeaves()));
 
-        io.writePathsBatched(leaves);
+        io.writePaths(leaves.data(), leaves.size());
 
         ASSERT_EQ(stash.size(), naiveLeftInStash(geom, blocks, leaves))
             << "trial " << trial;

@@ -1,7 +1,8 @@
 /**
  * @file
  * PathIo tests: path reads absorb blocks, greedy write-back places
- * deepest-first, and the tree auditor catches corruption.
+ * deepest-first, every call charges the meter it is bound to, and the
+ * tree auditor catches corruption.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +20,15 @@ struct PathIoFixture : public ::testing::Test
           storage(geom, 8, false),
           rng(7),
           posmap(64, geom.numLeaves(), rng),
-          io(geom, storage, stash)
+          io(geom, storage, stash, meter)
     {
     }
+
+    /** Read one path; @return real blocks absorbed. */
+    std::uint64_t readOne(Leaf leaf) { return io.readPaths(&leaf, 1); }
+
+    /** Write one path back; @return real blocks written. */
+    std::uint64_t writeOne(Leaf leaf) { return io.writePaths(&leaf, 1); }
 
     std::vector<std::uint8_t>
     payloadFor(BlockId id)
@@ -35,12 +42,13 @@ struct PathIoFixture : public ::testing::Test
     Rng rng;
     PositionMap posmap;
     Stash stash;
+    mem::TrafficMeter meter{mem::CostModel{}};
     PathIo io;
 };
 
 TEST_F(PathIoFixture, ReadEmptyPathAbsorbsNothing)
 {
-    EXPECT_EQ(io.readPath(0), 0u);
+    EXPECT_EQ(readOne(0), 0u);
     EXPECT_TRUE(stash.empty());
 }
 
@@ -49,10 +57,10 @@ TEST_F(PathIoFixture, WriteThenReadRoundTripsBlock)
     const Leaf leaf = 5;
     posmap.set(1, leaf);
     stash.put(1, leaf, payloadFor(1));
-    EXPECT_EQ(io.writePath(leaf), 1u);
+    EXPECT_EQ(writeOne(leaf), 1u);
     EXPECT_TRUE(stash.empty());
 
-    EXPECT_EQ(io.readPath(leaf), 1u);
+    EXPECT_EQ(readOne(leaf), 1u);
     ASSERT_TRUE(stash.contains(1));
     EXPECT_EQ(stash.find(1)->leaf, leaf);
     EXPECT_EQ(stash.find(1)->payload, payloadFor(1));
@@ -65,7 +73,7 @@ TEST_F(PathIoFixture, BlockOnOwnLeafGoesToLeafBucket)
     const Leaf leaf = 3;
     posmap.set(2, leaf);
     stash.put(2, leaf, payloadFor(2));
-    io.writePath(leaf);
+    writeOne(leaf);
 
     const NodeIndex leaf_node = geom.pathNode(leaf, geom.leafLevel());
     StoredBlock b;
@@ -88,7 +96,7 @@ TEST_F(PathIoFixture, DivergentBlockStaysNearRoot)
     const Leaf write_leaf = geom.numLeaves() - 1;
     posmap.set(3, block_leaf);
     stash.put(3, block_leaf, payloadFor(3));
-    io.writePath(write_leaf);
+    writeOne(write_leaf);
     EXPECT_TRUE(stash.empty()) << "root must have had space";
 
     StoredBlock b;
@@ -115,7 +123,7 @@ TEST_F(PathIoFixture, OverflowingBlocksStayInStash)
         stash.put(id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = stash.size();
-    const std::uint64_t written = io.writePath(leaf);
+    const std::uint64_t written = writeOne(leaf);
     EXPECT_EQ(written, std::min(staged, capacity));
     EXPECT_EQ(stash.size(), staged - written);
 }
@@ -126,16 +134,80 @@ TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
     for (int round = 0; round < 200; ++round) {
         const BlockId id = rng.nextBounded(geom.numBlocks());
         const Leaf cur = posmap.get(id);
-        io.readPath(cur);
+        readOne(cur);
         const Leaf next = rng.nextBounded(geom.numLeaves());
         posmap.set(id, next);
         if (StashEntry *e = stash.find(id))
             e->leaf = next;
         else
             stash.put(id, next, payloadFor(id));
-        io.writePath(cur);
+        writeOne(cur);
     }
     EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+}
+
+TEST_F(PathIoFixture, SinglePathReadsDeepestFirst)
+{
+    // A single path is a union of one: its nodes are fetched leaf
+    // first, root last, each node's slots in order.
+    std::vector<std::uint64_t> order;
+    storage.setAccessSink([&](std::uint64_t slot, bool write) {
+        if (!write)
+            order.push_back(slot);
+    });
+    const Leaf leaf = 11;
+    readOne(leaf);
+    std::vector<std::uint64_t> expect;
+    for (unsigned level = geom.numLevels(); level-- > 0;) {
+        const std::uint64_t base =
+            geom.nodeSlotBase(geom.pathNode(leaf, level));
+        for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
+            expect.push_back(base + s);
+    }
+    EXPECT_EQ(order, expect);
+}
+
+TEST_F(PathIoFixture, MeterChargesSlotsTimesBlockBytes)
+{
+    readOne(4);
+    writeOne(4);
+    const Leaf sharedPrefix[] = {0, 1};
+    io.readPaths(sharedPrefix, 2);
+    const mem::TrafficCounters &c = meter.counters();
+    // Sibling leaves share every node but the leaf bucket.
+    const std::uint64_t unionSlots =
+        geom.pathSlots() + geom.bucketSize(geom.leafLevel());
+    EXPECT_EQ(c.pathReads, 3u);
+    EXPECT_EQ(c.pathWrites, 1u);
+    EXPECT_EQ(c.blocksRead, geom.pathSlots() + unionSlots);
+    EXPECT_EQ(c.bytesRead, c.blocksRead * geom.blockBytes());
+    EXPECT_EQ(c.blocksWritten, geom.pathSlots());
+    EXPECT_EQ(c.bytesWritten, geom.pathBytes());
+    EXPECT_EQ(c.dummyReads, 0u);
+}
+
+TEST_F(PathIoFixture, DummyAccessKeepsBlocksAndChargesOneDummy)
+{
+    const Leaf leaf = 7;
+    posmap.set(1, leaf);
+    stash.put(1, leaf, payloadFor(1));
+    writeOne(leaf);
+    const mem::TrafficCounters before = meter.counters();
+
+    io.dummyAccess(leaf);
+    EXPECT_TRUE(stash.empty()) << "the block goes straight back";
+    EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
+    const mem::TrafficCounters d = meter.counters().since(before);
+    EXPECT_EQ(d.dummyReads, 1u);
+    EXPECT_EQ(d.pathReads, 0u);
+    EXPECT_EQ(d.pathWrites, 0u);
+    EXPECT_EQ(d.blocksRead, geom.pathSlots());
+    EXPECT_EQ(d.blocksWritten, geom.pathSlots());
+    EXPECT_EQ(d.bytesRead, geom.pathBytes());
+
+    readOne(leaf);
+    ASSERT_TRUE(stash.contains(1));
+    EXPECT_EQ(stash.find(1)->payload, payloadFor(1));
 }
 
 TEST_F(PathIoFixture, AuditCatchesMisplacedBlock)
@@ -176,7 +248,7 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
     TreeGeometry fat_geom(64, 8, BucketProfile::fat(4));
     ServerStorage fat_storage(fat_geom, 8, false);
     Stash fat_stash;
-    PathIo fat_io(fat_geom, fat_storage, fat_stash);
+    PathIo fat_io(fat_geom, fat_storage, fat_stash, meter);
 
     const Leaf leaf = 2;
     for (BlockId id = 0; id < fat_geom.pathSlots(); ++id) {
@@ -185,7 +257,7 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
         fat_stash.put(id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = fat_stash.size();
-    const std::uint64_t written = fat_io.writePath(leaf);
+    const std::uint64_t written = fat_io.writePaths(&leaf, 1);
     EXPECT_EQ(written, std::min<std::uint64_t>(staged,
                                                fat_geom.pathSlots()));
     EXPECT_GT(fat_geom.pathSlots(), geom.pathSlots());
