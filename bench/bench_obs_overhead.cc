@@ -5,9 +5,10 @@
  * so the cost of the instrumentation is a measured number, not a
  * promise.
  *
- * The disabled path is the contract that matters: every metric site
- * is one predicted-not-taken branch on a relaxed atomic load, every
- * span site one branch with no clock read, so a run without
+ * The disabled path is the contract that matters: every metric push
+ * site is one predicted-not-taken branch on a relaxed atomic load
+ * (pulled ledgers cost nothing until sampled), every span site one
+ * branch with no clock read, so a run without
  * --metrics-out/--trace-out should sit inside run-to-run noise
  * (reported as disabled.noise_fraction from two back-to-back disabled
  * runs). The enabled phases also *reconcile*: the live counters must
@@ -15,7 +16,9 @@
  * ledger, and the trace dump must validate as Chrome-trace JSON with
  * spans from both pipeline stages — these are the hard CI gates
  * (--smoke), because correctness regressions hide behind noisy
- * percentages but reconciliation failures do not.
+ * percentages but reconciliation failures do not. The pulled series
+ * (oram.*, storage.dram.*) are read after runOnce() has destroyed the
+ * engine, so they reconcile through the registry's fold-on-close.
  */
 
 #include <algorithm>
@@ -42,6 +45,7 @@ struct RunOutcome
 {
     core::PipelineReport rep;
     mem::TrafficCounters traffic;
+    storage::IoStats io; ///< the engine backend's whole-life ledger
 };
 
 RunOutcome
@@ -66,6 +70,7 @@ runOnce(std::uint64_t blocks, std::uint64_t window,
     RunOutcome out;
     out.rep = pipe.run(source);
     out.traffic = engine.meter().counters();
+    out.io = engine.storageForAudit().ioStats();
     return out;
 }
 
@@ -127,8 +132,10 @@ main(int argc, char **argv)
         reg.counter("pipeline.windows_served");
     obs::Counter &logicalAccesses =
         reg.counter("oram.logical_accesses");
+    obs::Counter &slotsRead = reg.counter("storage.dram.slots_read");
     const std::uint64_t windowsBefore = windowsServed.get();
     const std::uint64_t accessesBefore = logicalAccesses.get();
+    const std::uint64_t slotsBefore = slotsRead.get();
 
     obs::setMetricsEnabled(true);
     const RunOutcome metricsRun = runOnce(nBlocks, nWindow, trace);
@@ -139,6 +146,7 @@ main(int argc, char **argv)
         windowsServed.get() - windowsBefore;
     const std::uint64_t accessesDelta =
         logicalAccesses.get() - accessesBefore;
+    const std::uint64_t slotsDelta = slotsRead.get() - slotsBefore;
     if (windowsDelta != metricsRun.rep.windows)
         LAORAM_FATAL("metrics reconciliation failed: counter saw ",
                      windowsDelta, " windows, report says ",
@@ -147,6 +155,10 @@ main(int argc, char **argv)
         LAORAM_FATAL("metrics reconciliation failed: counter saw ",
                      accessesDelta, " accesses, traffic ledger says ",
                      metricsRun.traffic.logicalAccesses);
+    if (slotsDelta != metricsRun.io.slotsRead)
+        LAORAM_FATAL("metrics reconciliation failed: counter saw ",
+                     slotsDelta, " slots read, backend ledger says ",
+                     metricsRun.io.slotsRead);
 
     // ---- Tracing enabled: time it, then the dump must parse as
     // Chrome-trace JSON with spans from both pipeline stages (prep
@@ -185,7 +197,8 @@ main(int argc, char **argv)
               << " threads)\n\n"
               << "live counters reconciled with the report ("
               << windowsDelta << " windows, " << accessesDelta
-              << " accesses) and the trace validates as Chrome JSON —"
+              << " accesses, " << slotsDelta
+              << " slots read) and the trace validates as Chrome JSON —"
               << "\nthe disabled path is one branch per site, so its "
                  "cost stays inside the\nnoise floor above.\n";
 

@@ -3,45 +3,9 @@
 #include <algorithm>
 #include <cctype>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace laoram::cache {
-
-namespace {
-
-/** Live-metrics mirror: one process-wide handle set for all caches. */
-struct CacheMetrics
-{
-    obs::Counter &hits;
-    obs::Counter &misses;
-    obs::Counter &evictions;
-    obs::Counter &writebackCoalesced;
-    obs::Counter &admissionHits;
-};
-
-CacheMetrics &
-cacheMetrics()
-{
-    static CacheMetrics m = [] {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-        return CacheMetrics{
-            reg.counter("cache.hits",
-                        "scheduled accesses served from the hot cache"),
-            reg.counter("cache.misses",
-                        "scheduled accesses served from ORAM"),
-            reg.counter("cache.evictions", "hot-cache rows evicted"),
-            reg.counter("cache.writeback_coalesced",
-                        "deferred updates flushed into scheduled "
-                        "accesses"),
-            reg.counter("cache.admission_hits",
-                        "operations served at admission time"),
-        };
-    }();
-    return m;
-}
-
-} // namespace
 
 const char *
 policyName(CachePolicy policy)
@@ -97,7 +61,24 @@ HotEmbeddingCache::HotEmbeddingCache(const CacheConfig &config,
                                      std::uint64_t rowBytes)
     : cfg(config), bytesPerRow(rowBytes),
       maxRows(std::max<std::uint64_t>(
-          1, rowBytes > 0 ? config.capacityBytes / rowBytes : 0))
+          1, rowBytes > 0 ? config.capacityBytes / rowBytes : 0)),
+      source([this](obs::PullSink &out) {
+          const CacheStats s = stats();
+          out.counter("cache.hits",
+                      "scheduled accesses served from the hot cache",
+                      s.hits);
+          out.counter("cache.misses",
+                      "scheduled accesses served from ORAM", s.misses);
+          out.counter("cache.evictions", "hot-cache rows evicted",
+                      s.evictions);
+          out.counter("cache.writeback_coalesced",
+                      "deferred updates flushed into scheduled "
+                      "accesses",
+                      s.writebackCoalesced);
+          out.counter("cache.admission_hits",
+                      "operations served at admission time",
+                      s.admissionHits);
+      })
 {
     LAORAM_ASSERT(rowBytes > 0,
                   "hot cache requires a non-zero payload width");
@@ -128,8 +109,6 @@ HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
     auto it = rows.find(id);
     if (it == rows.end()) {
         ++st.misses;
-        if (obs::metricsEnabled())
-            cacheMetrics().misses.inc();
         return AccessOutcome::Miss;
     }
     Row &row = it->second;
@@ -145,15 +124,9 @@ HotEmbeddingCache::beginScheduledAccess(oram::BlockId id,
         // window share a single bin-member touch, so release all
         // pins, not one.
         st.writebackCoalesced += row.pinned;
-        if (obs::metricsEnabled()) {
-            cacheMetrics().hits.inc();
-            cacheMetrics().writebackCoalesced.add(row.pinned);
-        }
         row.pinned = 0;
         return AccessOutcome::Flushed;
     }
-    if (obs::metricsEnabled())
-        cacheMetrics().hits.inc();
     return AccessOutcome::HitInPlace;
 }
 
@@ -193,8 +166,6 @@ HotEmbeddingCache::evictForSpaceLocked()
         rows.erase(std::get<2>(*victim));
         order.erase(victim);
         ++st.evictions;
-        if (obs::metricsEnabled())
-            cacheMetrics().evictions.inc();
     }
 }
 
@@ -242,8 +213,6 @@ HotEmbeddingCache::tryServeAtAdmission(
     fn(row.data);
     ++row.pinned;
     ++st.admissionHits;
-    if (obs::metricsEnabled())
-        cacheMetrics().admissionHits.inc();
     return true;
 }
 

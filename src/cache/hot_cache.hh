@@ -56,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "oram/types.hh"
 #include "util/serde.hh"
 
@@ -222,6 +223,8 @@ class HotEmbeddingCache
     std::set<OrderKey> order;
     std::uint64_t useSeq = 0;
     CacheStats st;
+    /** Pulls stats() as the cache.* series; declared after its state. */
+    obs::MetricsSource source;
 };
 
 } // namespace laoram::cache

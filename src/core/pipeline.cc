@@ -25,7 +25,6 @@ struct PipelineMetrics
     obs::Counter &windows;
     obs::Counter &fillNs;
     obs::Counter &stallNs;
-    obs::Counter &reorderStallNs;
 };
 
 PipelineMetrics &
@@ -39,8 +38,6 @@ pipelineMetrics()
                     "serve-thread wait for each run's first window"),
         reg.counter("pipeline.stall_ns",
                     "serve-thread waits after the pipeline fill"),
-        reg.counter("pipeline.reorder_stall_ns",
-                    "head-of-line share of the serve-thread stalls"),
     };
     return m;
 }
@@ -377,10 +374,6 @@ BatchPipeline::runConcurrent(ServeSource &source)
     rep.wallStallNs = static_cast<double>(stallNs);
     rep.wallReorderStallNs =
         static_cast<double>(reorder.stats().headOfLineWaitNs);
-    if (obs::metricsEnabled()) {
-        pipelineMetrics().reorderStallNs.add(
-            reorder.stats().headOfLineWaitNs);
-    }
 
     rep.prepThreads = static_cast<std::uint32_t>(poolSize);
     rep.prepThreadBusyNs.reserve(poolSize);

@@ -4,27 +4,6 @@
 
 namespace laoram::mem {
 
-MeterObs &
-meterObs()
-{
-    auto &reg = obs::MetricsRegistry::instance();
-    static MeterObs m{
-        reg.counter("oram.logical_accesses",
-                    "application block requests"),
-        reg.counter("oram.path_reads", "real path fetches"),
-        reg.counter("oram.path_writes", "path write-backs"),
-        reg.counter("oram.dummy_reads",
-                    "background-eviction accesses"),
-        reg.counter("oram.bytes_read", "server bytes read"),
-        reg.counter("oram.bytes_written", "server bytes written"),
-        reg.counter("oram.stash_hits", "requests served from stash"),
-        reg.counter("oram.reshuffles", "RingORAM bucket reshuffles"),
-        reg.gauge("oram.stash_peak",
-                  "stash high-water mark over all engines"),
-    };
-    return m;
-}
-
 double
 TrafficCounters::dummyReadsPerAccess() const
 {
@@ -78,7 +57,31 @@ TrafficCounters::operator+=(const TrafficCounters &other)
     return *this;
 }
 
-TrafficMeter::TrafficMeter(const CostModel &model) : model(model) {}
+TrafficMeter::TrafficMeter(const CostModel &model)
+    : model(model), source([this](obs::PullSink &out) {
+          const TrafficCounters t = counters();
+          out.counter("oram.logical_accesses",
+                      "application block requests", t.logicalAccesses);
+          out.counter("oram.path_reads", "real path fetches",
+                      t.pathReads);
+          out.counter("oram.path_writes", "path write-backs",
+                      t.pathWrites);
+          out.counter("oram.dummy_reads", "background-eviction accesses",
+                      t.dummyReads);
+          out.counter("oram.bytes_read", "server bytes read",
+                      t.bytesRead);
+          out.counter("oram.bytes_written", "server bytes written",
+                      t.bytesWritten);
+          out.counter("oram.stash_hits", "requests served from stash",
+                      t.stashHits);
+          out.counter("oram.reshuffles", "RingORAM bucket reshuffles",
+                      t.reshuffles);
+          out.highWater("oram.stash_peak",
+                        "stash high-water mark over all engines",
+                        t.stashPeak);
+      })
+{
+}
 
 void
 TrafficMeter::recordPathReads(std::uint64_t paths, std::uint64_t bytes,
@@ -88,11 +91,6 @@ TrafficMeter::recordPathReads(std::uint64_t paths, std::uint64_t bytes,
     c.blocksRead += blocks;
     c.bytesRead += bytes;
     clk.advanceNs(model.pathReadNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathReads.add(paths);
-        m.bytesRead.add(bytes);
-    }
 }
 
 void
@@ -103,11 +101,6 @@ TrafficMeter::recordPathWrites(std::uint64_t paths, std::uint64_t bytes,
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
     clk.advanceNs(model.pathWriteNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.pathWrites.add(paths);
-        m.bytesWritten.add(bytes);
-    }
 }
 
 void
@@ -119,12 +112,6 @@ TrafficMeter::recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks)
     c.blocksWritten += blocks;
     c.bytesWritten += bytes;
     clk.advanceNs(model.dummyAccessNs(bytes, blocks));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.dummyReads.inc();
-        m.bytesRead.add(bytes);
-        m.bytesWritten.add(bytes);
-    }
 }
 
 void
@@ -140,12 +127,6 @@ TrafficMeter::recordReshuffle(std::uint64_t bytesRead,
     c.bytesWritten += bytesWritten;
     clk.advanceNs(model.pathReadNs(bytesRead, blocksRead)
                   + model.pathWriteNs(bytesWritten, blocksWritten));
-    if (obs::metricsEnabled()) {
-        MeterObs &m = meterObs();
-        m.reshuffles.inc();
-        m.bytesRead.add(bytesRead);
-        m.bytesWritten.add(bytesWritten);
-    }
 }
 
 void
@@ -153,17 +134,6 @@ TrafficMeter::observeStashSize(std::uint64_t blocks)
 {
     if (blocks > c.stashPeak)
         c.stashPeak = blocks;
-    if (obs::metricsEnabled()) {
-        meterObs().stashPeak.setMax(
-            static_cast<std::int64_t>(blocks));
-    }
-}
-
-void
-TrafficMeter::reset()
-{
-    c = TrafficCounters{};
-    clk.reset();
 }
 
 void

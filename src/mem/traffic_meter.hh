@@ -21,40 +21,25 @@
 namespace laoram::mem {
 
 /**
- * Live mirror of the traffic counters, shared by every meter in the
- * process (shard engines register the same oram.* names), so the
- * metrics sampler sees process-wide ORAM traffic mid-run.
+ * Snapshot of all traffic counters (value type; freely copyable). The
+ * fields are obs::Tally cells, so the live meter's own copy may be
+ * read by a sampler thread while the serving thread records.
  */
-struct MeterObs
-{
-    obs::Counter &logicalAccesses;
-    obs::Counter &pathReads;
-    obs::Counter &pathWrites;
-    obs::Counter &dummyReads;
-    obs::Counter &bytesRead;
-    obs::Counter &bytesWritten;
-    obs::Counter &stashHits;
-    obs::Counter &reshuffles;
-    obs::Gauge &stashPeak; ///< high-water mark across all stashes
-};
-
-/** The process-wide handle set (registered on first use). */
-MeterObs &meterObs();
-
-/** Snapshot of all traffic counters (value-type; freely copyable). */
 struct TrafficCounters
 {
-    std::uint64_t logicalAccesses = 0; ///< application block requests
-    std::uint64_t pathReads = 0;       ///< real path fetches
-    std::uint64_t pathWrites = 0;      ///< path write-backs
-    std::uint64_t dummyReads = 0;      ///< background-eviction accesses
-    std::uint64_t blocksRead = 0;      ///< physical block slots read
-    std::uint64_t blocksWritten = 0;   ///< physical block slots written
-    std::uint64_t bytesRead = 0;
-    std::uint64_t bytesWritten = 0;
-    std::uint64_t stashPeak = 0;       ///< max blocks resident in stash
-    std::uint64_t stashHits = 0;       ///< requests served from stash
-    std::uint64_t reshuffles = 0;      ///< RingORAM bucket reshuffles
+    using Count = obs::Tally<std::uint64_t>;
+
+    Count logicalAccesses = 0; ///< application block requests
+    Count pathReads = 0;       ///< real path fetches
+    Count pathWrites = 0;      ///< path write-backs
+    Count dummyReads = 0;      ///< background-eviction accesses
+    Count blocksRead = 0;      ///< physical block slots read
+    Count blocksWritten = 0;   ///< physical block slots written
+    Count bytesRead = 0;
+    Count bytesWritten = 0;
+    Count stashPeak = 0;       ///< max blocks resident in stash
+    Count stashHits = 0;       ///< requests served from stash
+    Count reshuffles = 0;      ///< RingORAM bucket reshuffles
 
     std::uint64_t totalBytes() const { return bytesRead + bytesWritten; }
 
@@ -75,38 +60,22 @@ struct TrafficCounters
 /**
  * Live meter: counters + simulated clock + cost model.
  *
- * Engines call the record*() methods; harnesses read counters() and
- * elapsed time.
+ * Engines call the record*() methods from their serving thread;
+ * harnesses read counters() and elapsed time. The counters are also a
+ * pulled metrics source (the oram.* series), so a sampler thread may
+ * read them mid-run.
  */
 class TrafficMeter
 {
   public:
     explicit TrafficMeter(const CostModel &model);
 
-    void
-    recordLogicalAccess()
-    {
-        ++c.logicalAccesses;
-        if (obs::metricsEnabled())
-            meterObs().logicalAccesses.inc();
-    }
+    void recordLogicalAccess() { ++c.logicalAccesses; }
 
     /** Credit @p n logical accesses at once (superblock bins). */
-    void
-    recordLogicalAccesses(std::uint64_t n)
-    {
-        c.logicalAccesses += n;
-        if (obs::metricsEnabled())
-            meterObs().logicalAccesses.add(n);
-    }
+    void recordLogicalAccesses(std::uint64_t n) { c.logicalAccesses += n; }
 
-    void
-    recordStashHit()
-    {
-        ++c.stashHits;
-        if (obs::metricsEnabled())
-            meterObs().stashHits.inc();
-    }
+    void recordStashHit() { ++c.stashHits; }
 
     /**
      * A read of @p paths paths whose node-union totalled @p blocks
@@ -131,11 +100,10 @@ class TrafficMeter
     /** Track the stash high-water mark. */
     void observeStashSize(std::uint64_t blocks);
 
-    const TrafficCounters &counters() const { return c; }
+    /** A value snapshot of the counters (safe from any thread). */
+    TrafficCounters counters() const { return c; }
     const SimClock &clock() const { return clk; }
     const CostModel &costModel() const { return model; }
-
-    void reset();
 
     /**
      * Checkpoint support: overwrite all counters and rewind the
@@ -152,6 +120,7 @@ class TrafficMeter
     CostModel model;
     SimClock clk;
     TrafficCounters c;
+    obs::MetricsSource source; ///< publishes c; declared after it
 };
 
 } // namespace laoram::mem

@@ -1,5 +1,6 @@
 #include "obs/metrics.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -68,11 +69,21 @@ struct MetricsRegistry::Entry
     std::string name;
     std::string help;
     Kind kind = Kind::Counter;
+    bool highWater = false; ///< a gauge sources report as high-water
     // Exactly one of these is live, by kind; unique_ptr members keep
     // handle addresses stable as `entries` grows.
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+
+    /** A gauge's level; a high-water gauge takes @p pulled's max. */
+    std::int64_t
+    level(std::uint64_t pulled) const
+    {
+        return highWater ? std::max(gauge->get(),
+                                    static_cast<std::int64_t>(pulled))
+                         : gauge->get();
+    }
 };
 
 MetricsRegistry &
@@ -82,16 +93,15 @@ MetricsRegistry::instance()
     return reg;
 }
 
-MetricsRegistry::Entry &
-MetricsRegistry::findOrCreate(const std::string &name,
-                              const std::string &help, Kind kind)
+std::size_t
+MetricsRegistry::findOrCreateLocked(const std::string &name,
+                                    const std::string &help, Kind kind)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const std::unique_ptr<Entry> &e : entries) {
-        if (e->name == name) {
-            LAORAM_ASSERT(e->kind == kind, "metric '", name,
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i]->name == name) {
+            LAORAM_ASSERT(entries[i]->kind == kind, "metric '", name,
                           "' re-registered with a different kind");
-            return *e;
+            return i;
         }
     }
     auto entry = std::make_unique<Entry>();
@@ -110,7 +120,15 @@ MetricsRegistry::findOrCreate(const std::string &name,
         break;
     }
     entries.push_back(std::move(entry));
-    return *entries.back();
+    return entries.size() - 1;
+}
+
+MetricsRegistry::Entry &
+MetricsRegistry::findOrCreate(const std::string &name,
+                              const std::string &help, Kind kind)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return *entries[findOrCreateLocked(name, help, kind)];
 }
 
 Counter &
@@ -133,54 +151,92 @@ MetricsRegistry::histogram(const std::string &name,
     return *findOrCreate(name, help, Kind::Histogram).histogram;
 }
 
-std::size_t
-MetricsRegistry::size() const
+MetricsSource::MetricsSource(Collect collect)
+    : collect(std::move(collect))
 {
-    std::lock_guard<std::mutex> lock(mu);
-    return entries.size();
+    // Not yet visible to samplers, so this first collect (which names
+    // the series) needs no lock.
+    PullSink sink;
+    this->collect(sink);
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    std::lock_guard<std::mutex> pull(reg.pullMu);
+    std::lock_guard<std::mutex> lock(reg.mu);
+    for (const PullSink::Value &v : sink.values) {
+        const std::size_t i = reg.findOrCreateLocked(
+            v.name, v.help,
+            v.highWater ? MetricsRegistry::Kind::Gauge
+                        : MetricsRegistry::Kind::Counter);
+        reg.entries[i]->highWater = v.highWater;
+        entries.push_back(i);
+    }
+    reg.sources.push_back(this);
 }
 
-void
-MetricsRegistry::resetForTest()
+MetricsSource::~MetricsSource()
 {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const std::unique_ptr<Entry> &e : entries) {
-        switch (e->kind) {
-          case Kind::Counter:
-            e->counter->v.store(0, std::memory_order_relaxed);
-            break;
-          case Kind::Gauge:
-            e->gauge->v.store(0, std::memory_order_relaxed);
-            break;
-          case Kind::Histogram: {
-            Histogram &h = *e->histogram;
-            for (auto &b : h.buckets)
-                b.store(0, std::memory_order_relaxed);
-            h.n.store(0, std::memory_order_relaxed);
-            h.total.store(0, std::memory_order_relaxed);
-            h.maxV.store(0, std::memory_order_relaxed);
-            break;
-          }
+    // One pullMu section from the last collect to the removal, so a
+    // concurrent sample sees this source either live or folded, never
+    // both and never neither.
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    std::lock_guard<std::mutex> pull(reg.pullMu);
+    PullSink sink;
+    collect(sink);
+    std::lock_guard<std::mutex> lock(reg.mu);
+    for (std::size_t k = 0; k < sink.values.size(); ++k) {
+        const PullSink::Value &v = sink.values[k];
+        MetricsRegistry::Entry &e = *reg.entries[entries[k]];
+        if (v.highWater)
+            e.gauge->setMax(static_cast<std::int64_t>(v.value));
+        else
+            e.counter->add(v.value);
+    }
+    reg.sources.erase(
+        std::find(reg.sources.begin(), reg.sources.end(), this));
+}
+
+std::vector<std::uint64_t>
+MetricsRegistry::pullSources() const
+{
+    std::vector<std::uint64_t> pulled;
+    PullSink sink;
+    for (MetricsSource *source : sources) {
+        sink.values.clear();
+        source->collect(sink);
+        LAORAM_ASSERT(sink.values.size() == source->entries.size(),
+                      "a metrics source changed its series");
+        for (std::size_t k = 0; k < sink.values.size(); ++k) {
+            const std::size_t i = source->entries[k];
+            if (pulled.size() <= i)
+                pulled.resize(i + 1, 0);
+            const std::uint64_t v = sink.values[k].value;
+            pulled[i] = sink.values[k].highWater
+                            ? std::max(pulled[i], v)
+                            : pulled[i] + v;
         }
     }
+    return pulled;
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
+    std::lock_guard<std::mutex> pull(pullMu);
+    std::vector<std::uint64_t> pulled = pullSources();
     std::lock_guard<std::mutex> lock(mu);
+    pulled.resize(entries.size(), 0);
     MetricsSnapshot snap;
     snap.values.reserve(entries.size());
-    for (const std::unique_ptr<Entry> &e : entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const std::unique_ptr<Entry> &e = entries[i];
         switch (e->kind) {
           case Kind::Counter:
             snap.values.push_back(
                 {e->name,
-                 static_cast<double>(e->counter->get())});
+                 static_cast<double>(e->counter->get() + pulled[i])});
             break;
           case Kind::Gauge:
             snap.values.push_back(
-                {e->name, static_cast<double>(e->gauge->get())});
+                {e->name, static_cast<double>(e->level(pulled[i]))});
             break;
           case Kind::Histogram: {
             const Histogram &h = *e->histogram;
@@ -225,9 +281,13 @@ promName(const std::string &name)
 std::string
 MetricsRegistry::prometheusText() const
 {
+    std::lock_guard<std::mutex> pull(pullMu);
+    std::vector<std::uint64_t> pulled = pullSources();
     std::lock_guard<std::mutex> lock(mu);
+    pulled.resize(entries.size(), 0);
     std::ostringstream os;
-    for (const std::unique_ptr<Entry> &e : entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const std::unique_ptr<Entry> &e = entries[i];
         const std::string base = promName(e->name);
         const char *type = e->kind == Kind::Counter ? "counter"
                                                     : "gauge";
@@ -247,9 +307,9 @@ MetricsRegistry::prometheusText() const
             os << "# HELP " << base << " " << e->help << "\n";
         os << "# TYPE " << base << " " << type << "\n" << base << " ";
         if (e->kind == Kind::Counter)
-            os << e->counter->get();
+            os << e->counter->get() + pulled[i];
         else
-            os << e->gauge->get();
+            os << e->level(pulled[i]);
         os << "\n";
     }
     return os.str();

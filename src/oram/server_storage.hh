@@ -149,7 +149,7 @@ class ServerStorage
     const storage::SlotBackend &backend() const { return *store; }
 
     /** Monotonic backend I/O ledger (measured ns, ops, bytes). */
-    const storage::IoStats &ioStats() const { return store->ioStats(); }
+    storage::IoStats ioStats() const { return store->ioStats(); }
 
     /** Drop the backend's clean pages (cold-cache benching). */
     void dropPageCache() { store->dropPageCache(); }

@@ -542,7 +542,7 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
                                  std::uint64_t slots,
                                  std::uint64_t recordBytes,
                                  std::uint64_t metaBytes)
-    : SlotBackend(slots, recordBytes),
+    : SlotBackend("remote", slots, recordBytes),
       cfg(cfg.remote),
       jitterRng(entropy64())
 {
@@ -581,7 +581,7 @@ RemoteKvBackend::RemoteKvBackend(const StorageConfig &cfg,
 RemoteKvBackend::RemoteKvBackend(int fd, std::uint64_t slots,
                                  std::uint64_t recordBytes,
                                  const RemoteKvConfig &cfg)
-    : SlotBackend(slots, recordBytes),
+    : SlotBackend("remote", slots, recordBytes),
       cfg(cfg),
       fd(fd),
       jitterRng(entropy64())

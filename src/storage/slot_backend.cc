@@ -1,9 +1,5 @@
 #include "storage/slot_backend.hh"
 
-#include <map>
-#include <mutex>
-
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "storage/dram_backend.hh"
 #include "storage/mmap_backend.hh"
@@ -12,65 +8,6 @@
 #include "util/walltime.hh"
 
 namespace laoram::storage {
-
-/**
- * Live mirror of the IoStats ledger, one handle set per backend
- * *kind*: every instance of a kind (shard engines, the remote
- * server's inner store) shares the same storage.<kind>.* series, so
- * the sampled totals are process-wide.
- */
-struct BackendObs
-{
-    obs::Counter &readOps;
-    obs::Counter &writeOps;
-    obs::Counter &slotsRead;
-    obs::Counter &slotsWritten;
-    obs::Counter &bytesRead;
-    obs::Counter &bytesWritten;
-    obs::Counter &flushes;
-    obs::Counter &readNs;
-    obs::Counter &writeNs;
-};
-
-namespace {
-
-BackendObs &
-backendObsFor(const std::string &kind)
-{
-    static std::mutex mu;
-    static std::map<std::string, std::unique_ptr<BackendObs>> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(kind);
-    if (it == cache.end()) {
-        auto &reg = obs::MetricsRegistry::instance();
-        const std::string p = "storage." + kind + ".";
-        it = cache
-                 .emplace(kind,
-                          std::unique_ptr<BackendObs>(new BackendObs{
-                              reg.counter(p + "read_ops"),
-                              reg.counter(p + "write_ops"),
-                              reg.counter(p + "slots_read"),
-                              reg.counter(p + "slots_written"),
-                              reg.counter(p + "bytes_read"),
-                              reg.counter(p + "bytes_written"),
-                              reg.counter(p + "flushes"),
-                              reg.counter(p + "read_ns"),
-                              reg.counter(p + "write_ns"),
-                          }))
-                 .first;
-    }
-    return *it->second;
-}
-
-} // namespace
-
-BackendObs &
-SlotBackend::boundObs()
-{
-    if (obs_ == nullptr)
-        obs_ = &backendObsFor(name());
-    return *obs_;
-}
 
 IoStats
 IoStats::since(const IoStats &start) const
@@ -119,10 +56,44 @@ backendKindName(BackendKind kind)
     return "?";
 }
 
-SlotBackend::SlotBackend(std::uint64_t slots, std::uint64_t recordBytes)
-    : nSlots(slots), recBytes(recordBytes)
+SlotBackend::SlotBackend(std::string name, std::uint64_t slots,
+                         std::uint64_t recordBytes)
+    : nSlots(slots), recBytes(recordBytes), kindName(std::move(name)),
+      source([this](obs::PullSink &out) {
+          const IoStats io = ioStats();
+          const std::string p = "storage." + kindName + ".";
+          out.counter(p + "read_ops", "", io.readOps);
+          out.counter(p + "write_ops", "", io.writeOps);
+          out.counter(p + "slots_read", "", io.slotsRead);
+          out.counter(p + "slots_written", "", io.slotsWritten);
+          out.counter(p + "bytes_read", "", io.bytesRead);
+          out.counter(p + "bytes_written", "", io.bytesWritten);
+          out.counter(p + "flushes", "", io.flushes);
+          out.counter(p + "read_ns", "",
+                      static_cast<std::uint64_t>(io.readNs));
+          out.counter(p + "write_ns", "",
+                      static_cast<std::uint64_t>(io.writeNs));
+      })
 {
     LAORAM_ASSERT(recBytes > 0, "slot records cannot be empty");
+}
+
+void
+SlotBackend::countRead(std::uint64_t slotCount, std::int64_t ns)
+{
+    ++stats.readOps;
+    stats.slotsRead += slotCount;
+    stats.bytesRead += slotCount * recBytes;
+    stats.readNs += ns;
+}
+
+void
+SlotBackend::countWrite(std::uint64_t slotCount, std::int64_t ns)
+{
+    ++stats.writeOps;
+    stats.slotsWritten += slotCount;
+    stats.bytesWritten += slotCount * recBytes;
+    stats.writeNs += ns;
 }
 
 void
@@ -131,18 +102,7 @@ SlotBackend::readSlot(std::uint64_t slot, std::uint8_t *dst)
     LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
     const WallClock::time_point t0 = WallClock::now();
     doReadSlot(slot, dst);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.readNs += ns;
-    ++stats.readOps;
-    ++stats.slotsRead;
-    stats.bytesRead += recBytes;
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.inc();
-        o.bytesRead.add(recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
+    countRead(1, elapsedNs(t0));
 }
 
 void
@@ -151,18 +111,7 @@ SlotBackend::writeSlot(std::uint64_t slot, const std::uint8_t *src)
     LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlot(slot, src);
-    const std::int64_t ns = elapsedNs(t0);
-    stats.writeNs += ns;
-    ++stats.writeOps;
-    ++stats.slotsWritten;
-    stats.bytesWritten += recBytes;
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.inc();
-        o.bytesWritten.add(recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
+    countWrite(1, elapsedNs(t0));
 }
 
 void
@@ -174,18 +123,8 @@ SlotBackend::readSlots(const std::uint64_t *slots, std::size_t n,
     const WallClock::time_point t0 = WallClock::now();
     doReadSlots(slots, n, dst);
     const std::int64_t ns = elapsedNs(t0);
-    stats.readNs += ns;
-    ++stats.readOps;
-    stats.slotsRead += n;
-    stats.bytesRead += n * recBytes;
+    countRead(n, ns);
     obs::traceRecordEndingNow("path-read", ns, n);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.add(n);
-        o.bytesRead.add(n * recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void
@@ -197,18 +136,8 @@ SlotBackend::writeSlots(const std::uint64_t *slots, std::size_t n,
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlots(slots, n, src);
     const std::int64_t ns = elapsedNs(t0);
-    stats.writeNs += ns;
-    ++stats.writeOps;
-    stats.slotsWritten += n;
-    stats.bytesWritten += n * recBytes;
+    countWrite(n, ns);
     obs::traceRecordEndingNow("path-write", ns, n);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.add(n);
-        o.bytesWritten.add(n * recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void
@@ -218,44 +147,22 @@ SlotBackend::flush()
     doFlush();
     stats.flushNs += elapsedNs(t0);
     ++stats.flushes;
-    if (obs::metricsEnabled())
-        boundObs().flushes.inc();
 }
 
 void
 SlotBackend::noteMappedRead(std::uint64_t slotCount, std::int64_t ns)
 {
-    ++stats.readOps;
-    stats.slotsRead += slotCount;
-    stats.bytesRead += slotCount * recBytes;
-    stats.readNs += ns;
+    countRead(slotCount, ns);
     // The mapped fast path only measures a duration, so the span is
     // back-dated to end at the report point.
     obs::traceRecordEndingNow("path-read", ns, slotCount);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.readOps.inc();
-        o.slotsRead.add(slotCount);
-        o.bytesRead.add(slotCount * recBytes);
-        o.readNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void
 SlotBackend::noteMappedWrite(std::uint64_t slotCount, std::int64_t ns)
 {
-    ++stats.writeOps;
-    stats.slotsWritten += slotCount;
-    stats.bytesWritten += slotCount * recBytes;
-    stats.writeNs += ns;
+    countWrite(slotCount, ns);
     obs::traceRecordEndingNow("path-write", ns, slotCount);
-    if (obs::metricsEnabled()) {
-        BackendObs &o = boundObs();
-        o.writeOps.inc();
-        o.slotsWritten.add(slotCount);
-        o.bytesWritten.add(slotCount * recBytes);
-        o.writeNs.add(static_cast<std::uint64_t>(ns));
-    }
 }
 
 void

@@ -20,7 +20,9 @@
  *
  * Every backend keeps an IoStats ledger (ops, slots, bytes, measured
  * nanoseconds) that the pipeline reports as the serving thread's
- * genuine I/O stall component.
+ * genuine I/O stall component, and that the metrics registry pulls as
+ * the storage.<name>.* series (every backend of one name adds into
+ * the same series).
  */
 
 #ifndef LAORAM_STORAGE_SLOT_BACKEND_HH
@@ -31,24 +33,30 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.hh"
+
 namespace laoram::storage {
 
-/** Per-backend-kind live metric handles (see slot_backend.cc). */
-struct BackendObs;
-
-/** Monotonic I/O ledger of one backend (value type; freely copyable). */
+/**
+ * Monotonic I/O ledger of one backend (value type; freely copyable).
+ * The fields are obs::Tally cells, so the backend's own copy may be
+ * read by a sampler thread while the serving thread does I/O.
+ */
 struct IoStats
 {
-    std::uint64_t readOps = 0;   ///< read calls issued (vectored = 1)
-    std::uint64_t writeOps = 0;  ///< write calls issued (vectored = 1)
-    std::uint64_t slotsRead = 0;
-    std::uint64_t slotsWritten = 0;
-    std::uint64_t bytesRead = 0;
-    std::uint64_t bytesWritten = 0;
-    std::uint64_t flushes = 0;
-    std::int64_t readNs = 0;  ///< measured wall time inside reads
-    std::int64_t writeNs = 0; ///< measured wall time inside writes
-    std::int64_t flushNs = 0; ///< measured wall time inside flush()
+    using Count = obs::Tally<std::uint64_t>;
+    using Nanos = obs::Tally<std::int64_t>;
+
+    Count readOps = 0;  ///< read calls issued (vectored = 1)
+    Count writeOps = 0; ///< write calls issued (vectored = 1)
+    Count slotsRead = 0;
+    Count slotsWritten = 0;
+    Count bytesRead = 0;
+    Count bytesWritten = 0;
+    Count flushes = 0;
+    Nanos readNs = 0;  ///< measured wall time inside reads
+    Nanos writeNs = 0; ///< measured wall time inside writes
+    Nanos flushNs = 0; ///< measured wall time inside flush()
 
     /** Total measured backend time (read + write + flush). */
     std::int64_t totalNs() const { return readNs + writeNs + flushNs; }
@@ -206,18 +214,21 @@ struct CheckpointConfig
 
 /**
  * Abstract fixed-record slot store. All methods are single-threaded
- * per instance (each ORAM engine owns exactly one storage).
+ * per instance (each ORAM engine owns exactly one storage); only
+ * ioStats() may be read from another thread.
  */
 class SlotBackend
 {
   public:
-    SlotBackend(std::uint64_t slots, std::uint64_t recordBytes);
+    /** @p name labels the backend in reports and storage.<name>.*. */
+    SlotBackend(std::string name, std::uint64_t slots,
+                std::uint64_t recordBytes);
     virtual ~SlotBackend() = default;
 
     SlotBackend(const SlotBackend &) = delete;
     SlotBackend &operator=(const SlotBackend &) = delete;
 
-    virtual std::string name() const = 0;
+    const std::string &name() const { return kindName; }
 
     std::uint64_t slots() const { return nSlots; }
     std::uint64_t recordBytes() const { return recBytes; }
@@ -314,7 +325,8 @@ class SlotBackend
         return 0;
     }
 
-    const IoStats &ioStats() const { return stats; }
+    /** A value snapshot of the I/O ledger (safe from any thread). */
+    IoStats ioStats() const { return stats; }
 
   protected:
     /** Single-record transfer; @p slot is already range-checked. */
@@ -332,17 +344,14 @@ class SlotBackend
 
     std::uint64_t nSlots;
     std::uint64_t recBytes;
-    IoStats stats;
 
   private:
-    /**
-     * Live metric handles for this backend's kind, bound lazily on
-     * the first enabled update — name() is virtual, so binding in
-     * the base constructor would dispatch to the wrong class.
-     */
-    BackendObs &boundObs();
+    void countRead(std::uint64_t slotCount, std::int64_t ns);
+    void countWrite(std::uint64_t slotCount, std::int64_t ns);
 
-    BackendObs *obs_ = nullptr; ///< points into a process-wide cache
+    std::string kindName;
+    IoStats stats;
+    obs::MetricsSource source; ///< publishes stats; declared after it
 };
 
 /**

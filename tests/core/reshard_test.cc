@@ -13,10 +13,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "../common/temp_dir.hh"
 #include "core/sharded_laoram.hh"
 #include "util/rng.hh"
 #include "util/serde.hh"
@@ -29,12 +29,6 @@ namespace {
 
 constexpr std::uint64_t kBlocks = 96;
 constexpr std::uint64_t kPayloadBytes = 32;
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_reshard_" + tag;
-}
 
 ShardedLaoramConfig
 dramConfig(std::uint32_t numShards, std::uint64_t seed)
@@ -163,36 +157,6 @@ TEST(Reshard, TouchCallbackSurvivesReshard)
 class ShardedCheckpoint : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        // One base per test: ctest runs each test in its own process,
-        // concurrently under -j, so a shared base would let one test's
-        // cleanup delete another's live trees.
-        base = tempPath(
-            std::string("ckpt_")
-            + ::testing::UnitTest::GetInstance()->current_test_info()
-                  ->name());
-        cleanup();
-    }
-
-    void TearDown() override { cleanup(); }
-
-    void
-    cleanup()
-    {
-        std::remove(base.c_str());
-        // Shard-suffixed tree + sidecar files for every shard count a
-        // test might have used.
-        for (std::uint32_t s = 0; s < 4; ++s) {
-            const std::string suffix =
-                ".shard-"
-                + std::to_string(ShardedLaoram::shardSeed(kSeed, s));
-            std::remove((treeBase() + suffix).c_str());
-            std::remove((base + suffix).c_str());
-        }
-    }
-
     std::string
     treeBase() const
     {
@@ -209,7 +173,9 @@ class ShardedCheckpoint : public ::testing::Test
     }
 
     static constexpr std::uint64_t kSeed = 23;
-    std::string base;
+    /** Holds the manifest, its shard sidecars and the shard trees. */
+    const TestTempDir tmp;
+    const std::string base = tmp.path("engine.ckpt");
 };
 
 TEST_F(ShardedCheckpoint, ManifestAndShardSidecarsRoundTrip)

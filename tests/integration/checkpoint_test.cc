@@ -15,12 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "../common/temp_dir.hh"
 #include "core/laoram_client.hh"
 #include "engine_snapshot.hh"
 #include "util/rng.hh"
@@ -28,12 +27,6 @@
 
 namespace laoram::core {
 namespace {
-
-std::string
-tempPath(const std::string &tag)
-{
-    return ::testing::TempDir() + "laoram_checkpoint_" + tag;
-}
 
 LaoramConfig
 mmapConfig(const std::string &treePath, bool encrypt,
@@ -80,31 +73,9 @@ fillPayloads(Laoram &engine, const LaoramConfig &cfg)
 class CheckpointRoundTrip : public ::testing::TestWithParam<bool>
 {
   protected:
-    void
-    SetUp() override
-    {
-        // One stem per test and leg: ctest runs each test in its own
-        // process, concurrently under -j, so a shared stem would let
-        // one test's SetUp truncate another's live tree.
-        std::string stem = std::string("roundtrip_")
-            + ::testing::UnitTest::GetInstance()->current_test_info()
-                  ->name();
-        std::replace(stem.begin(), stem.end(), '/', '_');
-        tree = tempPath(stem + ".tree");
-        sidecar = tempPath(stem + ".ckpt");
-        std::remove(tree.c_str());
-        std::remove(sidecar.c_str());
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(tree.c_str());
-        std::remove(sidecar.c_str());
-    }
-
-    std::string tree;
-    std::string sidecar;
+    const TestTempDir tmp;
+    const std::string tree = tmp.path("engine.tree");
+    const std::string sidecar = tmp.path("engine.ckpt");
 };
 
 TEST_P(CheckpointRoundTrip, RestoredEngineIsByteIdentical)
@@ -398,8 +369,8 @@ TEST_F(CheckpointHotCache, CachelessSnapshotRestoresColdIntoCachedEngine)
 
 TEST(CheckpointFreshness, ReopenedTreeWithoutRestoreIsFatal)
 {
-    const std::string tree = tempPath("freshness.tree");
-    std::remove(tree.c_str());
+    const TestTempDir tmp;
+    const std::string tree = tmp.path("engine.tree");
     LaoramConfig cfg = mmapConfig(tree, false, 3);
     { Laoram first(cfg); } // creates + persists the tree
 
@@ -409,14 +380,13 @@ TEST(CheckpointFreshness, ReopenedTreeWithoutRestoreIsFatal)
     // flow: --restore --checkpoint-path.
     EXPECT_DEATH({ Laoram dead(again); (void)dead; },
                  "--restore --checkpoint-path");
-    std::remove(tree.c_str());
 }
 
 TEST(CheckpointFreshness, RestoreAgainstFreshTreeIsFatal)
 {
-    const std::string tree = tempPath("fresh_restore.tree");
-    const std::string sidecar = tempPath("fresh_restore.ckpt");
-    std::remove(tree.c_str());
+    const TestTempDir tmp;
+    const std::string tree = tmp.path("engine.tree");
+    const std::string sidecar = tmp.path("engine.ckpt");
     serde::writeFileAtomic(sidecar,
                            serde::seal(serde::SnapshotKind::Engine,
                                        {}));
@@ -425,16 +395,13 @@ TEST(CheckpointFreshness, RestoreAgainstFreshTreeIsFatal)
     cfg.base.checkpoint.restore = true;
     EXPECT_DEATH({ Laoram dead(cfg); (void)dead; },
                  "initialised fresh");
-    std::remove(tree.c_str());
-    std::remove(sidecar.c_str());
 }
 
 TEST(CheckpointFreshness, MissingSidecarIsFatal)
 {
-    const std::string tree = tempPath("missing_sidecar.tree");
-    const std::string sidecar = tempPath("missing_sidecar.ckpt");
-    std::remove(tree.c_str());
-    std::remove(sidecar.c_str());
+    const TestTempDir tmp;
+    const std::string tree = tmp.path("engine.tree");
+    const std::string sidecar = tmp.path("engine.ckpt");
     LaoramConfig cfg = mmapConfig(tree, false, 3);
     { Laoram first(cfg); }
 
@@ -444,7 +411,6 @@ TEST(CheckpointFreshness, MissingSidecarIsFatal)
     again.base.checkpoint.restore = true;
     EXPECT_DEATH({ Laoram dead(again); (void)dead; },
                  "genuinely unrestorable");
-    std::remove(tree.c_str());
 }
 
 } // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "mem/traffic_meter.hh"
+#include "obs/metrics.hh"
 
 namespace laoram::mem {
 namespace {
@@ -109,36 +111,37 @@ TEST(TrafficMeter, ReshuffleBypassesPathCounters)
     EXPECT_EQ(m.counters().blocksWritten, 8u);
 }
 
-TEST(TrafficMeter, ResetClearsEverything)
+/** @p name's value in a fresh registry snapshot (0 when absent). */
+double
+sampled(const std::string &name)
 {
-    TrafficMeter m{CostModel{}};
-    m.recordPathReads(1, 100, 2);
-    m.observeStashSize(99);
-    m.reset();
-    EXPECT_EQ(m.counters().pathReads, 0u);
-    EXPECT_EQ(m.counters().stashPeak, 0u);
-    EXPECT_EQ(m.clock().picoseconds(), 0u);
+    for (const auto &v : obs::MetricsRegistry::instance().snapshot().values)
+        if (v.name == name)
+            return v.value;
+    return 0.0;
 }
 
-TEST(TrafficMeter, MirrorsIntoLiveMetrics)
+TEST(TrafficMeter, LiveMetricsPullTheLedger)
 {
-    // With metrics on, every record call also feeds the process-wide
-    // oram.* handles the sampler reads mid-run; with them off it
-    // touches only the meter's own counters.
-    MeterObs &live = meterObs();
-    const std::uint64_t reads = live.pathReads.get();
-    const std::uint64_t dummies = live.dummyReads.get();
-    const std::uint64_t bytes = live.bytesRead.get();
-    TrafficMeter m{CostModel{}};
-    obs::setMetricsEnabled(true);
-    m.recordPathReads(2, 100, 2);
-    m.recordDummyAccess(100, 2);
-    obs::setMetricsEnabled(false);
-    m.recordPathReads(1, 100, 2);
-    EXPECT_EQ(live.pathReads.get() - reads, 2u);
-    EXPECT_EQ(live.dummyReads.get() - dummies, 1u);
-    EXPECT_EQ(live.bytesRead.get() - bytes, 200u);
-    EXPECT_EQ(m.counters().pathReads, 3u);
+    // The registry reads the meter's own counters whenever it is
+    // sampled, with the push gate off, and keeps them once the meter
+    // is gone.
+    ASSERT_FALSE(obs::metricsEnabled());
+    const double reads = sampled("oram.path_reads");
+    const double dummies = sampled("oram.dummy_reads");
+    const double bytes = sampled("oram.bytes_read");
+    {
+        TrafficMeter m{CostModel{}};
+        m.recordPathReads(2, 100, 2);
+        m.recordDummyAccess(100, 2);
+        EXPECT_EQ(sampled("oram.path_reads") - reads, 2.0);
+        EXPECT_EQ(sampled("oram.dummy_reads") - dummies, 1.0);
+        EXPECT_EQ(sampled("oram.bytes_read") - bytes, 200.0);
+        m.recordPathReads(1, 100, 2);
+    }
+    EXPECT_EQ(sampled("oram.path_reads") - reads, 3.0);
+    EXPECT_EQ(sampled("oram.dummy_reads") - dummies, 1.0);
+    EXPECT_EQ(sampled("oram.bytes_read") - bytes, 300.0);
 }
 
 TEST(TrafficMeter, SummaryMentionsLabel)

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "../common/temp_dir.hh"
 #include "net/node_server.hh"
 #include "storage/remote_backend.hh"
 #include "storage/slot_backend.hh"
@@ -110,8 +111,8 @@ TEST(NodeListener, ServesManyConcurrentClients)
 
 TEST(NodeListener, ReclaimsStaleUdsSocketFile)
 {
-    const std::string sock =
-        ::testing::TempDir() + "laoram_listener_stale.sock";
+    const TestTempDir tmp;
+    const std::string sock = tmp.path("node.sock");
     Endpoint ep;
     ASSERT_TRUE(parseEndpoint("unix:" + sock, &ep));
 

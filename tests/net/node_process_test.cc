@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "../common/temp_dir.hh"
 #include "../integration/engine_snapshot.hh"
 #include "core/pipeline.hh"
 #include "net/endpoint.hh"
@@ -203,27 +204,7 @@ pipelineConfig()
 class NodeProcessTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        // Per-test, per-process paths: ctest -j runs each test in
-        // its own process, possibly concurrently and repeatedly.
-        const std::string stem =
-            ::testing::TempDir() + "laoram_nodeproc_"
-            + ::testing::UnitTest::GetInstance()->current_test_info()
-                  ->name()
-            + "_" + std::to_string(::getpid());
-        sock = stem + ".sock";
-        tree = stem + ".tree";
-        cleanup();
-    }
-
-    void
-    TearDown() override
-    {
-        node.terminate();
-        cleanup();
-    }
+    void TearDown() override { node.terminate(); }
 
     void
     cleanup()
@@ -247,8 +228,9 @@ class NodeProcessTest : public ::testing::Test
         return args;
     }
 
-    std::string sock;
-    std::string tree;
+    const TestTempDir tmp; ///< outlives the node that uses it
+    const std::string sock = tmp.path("node.sock");
+    const std::string tree = tmp.path("node.tree");
     NodeProcess node;
 };
 

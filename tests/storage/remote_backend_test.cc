@@ -13,13 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../common/temp_dir.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
 #include "storage/dram_backend.hh"
@@ -245,9 +245,8 @@ TEST(RemoteBackend, ShaperChangesOnlyMeasuredTimeNeverCounts)
 
 TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
 {
-    const std::string path =
-        ::testing::TempDir() + "laoram_remote_reopen.tree";
-    std::remove(path.c_str());
+    const TestTempDir tmp;
+    const std::string path = tmp.path("node.tree");
 
     StorageConfig scfg;
     scfg.kind = BackendKind::Remote;
@@ -284,7 +283,6 @@ TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
         EXPECT_EQ(b.leaf, expect[slot].leaf) << "slot " << slot;
         EXPECT_EQ(b.payload, expect[slot].payload) << "slot " << slot;
     }
-    std::remove(path.c_str());
 }
 
 /**
