@@ -32,6 +32,36 @@ Laoram::name() const
         + std::to_string(lcfg.superblockSize);
 }
 
+template <typename Apply>
+void
+Laoram::serveMember(BlockId id, std::vector<std::uint8_t> &payload,
+                    bool newOp, Apply &&apply)
+{
+    if (!cache_) {
+        apply();
+        return;
+    }
+    switch (cache_->beginScheduledAccess(id, payload)) {
+      case cache::AccessOutcome::Flushed:
+        // The row (already copied into the stash payload) carries
+        // admission-time ops, and this access's path write is their
+        // coalesced write-back. A scheduled touch is then done: those
+        // ops were its touch, and touchFn must NOT run again. A new
+        // caller op still applies on top of them.
+        if (!newOp)
+            return;
+        [[fallthrough]];
+      case cache::AccessOutcome::HitInPlace:
+        apply();
+        cache_->completeScheduledAccess(id, payload);
+        return;
+      case cache::AccessOutcome::Miss:
+        apply();
+        cache_->fill(id, payload);
+        return;
+    }
+}
+
 void
 Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
                std::size_t len, std::vector<std::uint8_t> *out)
@@ -42,37 +72,19 @@ Laoram::access(BlockId id, oram::AccessOp op, const std::uint8_t *in,
     const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
 
+    // The scheduled-touch cache protocol runs here too, so a resident
+    // row — which may carry deferred admission-time updates newer
+    // than the stash — stays the authoritative copy.
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
-    oram::StashEntry &entry = stashEntryFor(id, next);
-    if (!cache_) {
-        applyOp(entry, op, in, len, out);
-    } else {
-        // The single-access path runs the same protocol as a
-        // scheduled touch so a resident row — which may carry
-        // deferred admission-time updates newer than the stash —
-        // stays the authoritative copy. Unlike a scheduled touch the
-        // caller's op is new, so Flushed still applies it: the
-        // deferred value was folded into the payload and this
-        // access's path write is its coalesced write-back.
-        switch (cache_->beginScheduledAccess(id, entry.payload)) {
-          case cache::AccessOutcome::Flushed:
-          case cache::AccessOutcome::HitInPlace:
-            applyOp(entry, op, in, len, out);
-            cache_->completeScheduledAccess(id, entry.payload);
-            break;
-          case cache::AccessOutcome::Miss:
-            applyOp(entry, op, in, len, out);
-            cache_->fill(id, entry.payload);
-            break;
-        }
-    }
-
-    pathIo_.writePaths(&current, 1);
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
+    pathIo_.access(&current, 1, &id, &next, 1,
+                   [&](std::size_t, oram::StashEntry &entry) {
+                       serveMember(id, entry.payload, true, [&] {
+                           applyOp(entry, op, in, len, out);
+                       });
+                   });
+    finishAccess();
 }
 
 void
@@ -89,13 +101,6 @@ Laoram::runTrace(const std::vector<BlockId> &trace)
     pc.windowAccesses =
         lcfg.lookaheadWindow == 0 ? trace.size() : lcfg.lookaheadWindow;
     BatchPipeline(*this, pc).run(trace);
-}
-
-void
-Laoram::runTrace(const std::vector<WindowSchedule> &schedules)
-{
-    for (const WindowSchedule &sched : schedules)
-        serveWindow(sched.result);
 }
 
 void
@@ -130,8 +135,15 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
 {
     LAORAM_ASSERT(count > 0, "empty training batch");
 
-    // Gather the batch's distinct current paths.
+    // Gather the batch's distinct current paths and resolve every
+    // member's future path — random draws happen in stream order —
+    // then apply the whole batch's remaps in one position-map pass. A
+    // block appearing in several bins ends up on its final future
+    // path (setBatch applies in order, last wins) — exactly as if the
+    // bins ran back-to-back.
     scratchLeaves.clear();
+    scratchRemapIds.clear();
+    scratchRemapLeaves.clear();
     std::uint64_t raw = 0;
     for (std::size_t b = 0; b < count; ++b) {
         const SuperblockBin &bin = bins[b];
@@ -139,10 +151,15 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
         LAORAM_ASSERT(bin.members.size() == bin.nextPaths.size(),
                       "bin missing future-path metadata");
         raw += bin.rawAccesses;
-        for (BlockId id : bin.members) {
+        for (std::size_t j = 0; j < bin.members.size(); ++j) {
+            const BlockId id = bin.members[j];
             if (stash_.contains(id))
                 mtr.recordStashHit();
             scratchLeaves.push_back(posmap_.get(id));
+            scratchRemapIds.push_back(id);
+            scratchRemapLeaves.push_back(
+                bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
+                                                  : bin.nextPaths[j]);
         }
     }
     mtr.recordLogicalAccesses(raw);
@@ -150,69 +167,23 @@ Laoram::accessBatch(const SuperblockBin *bins, std::size_t count)
     scratchLeaves.erase(
         std::unique(scratchLeaves.begin(), scratchLeaves.end()),
         scratchLeaves.end());
-
-    pathIo_.readPaths(scratchLeaves.data(), scratchLeaves.size());
-
-    // Resolve every member's future path first — random draws happen
-    // in stream order, so the rng stream matches the per-member code
-    // this replaces — then apply the whole batch's remaps in one
-    // position-map pass. A block appearing in several bins ends up on
-    // its final future path (setBatch applies in order, last wins) —
-    // exactly as if the bins ran back-to-back.
-    scratchRemapIds.clear();
-    scratchRemapLeaves.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-        const SuperblockBin &bin = bins[b];
-        for (std::size_t j = 0; j < bin.members.size(); ++j) {
-            scratchRemapIds.push_back(bin.members[j]);
-            scratchRemapLeaves.push_back(
-                bin.nextPaths[j] == kNoFuturePath ? randomLeaf()
-                                                  : bin.nextPaths[j]);
-        }
-    }
     posmap_.setBatch(scratchRemapIds.data(), scratchRemapLeaves.data(),
                      scratchRemapIds.size());
 
-    // Touch every member in stream order (repeated members keep
-    // re-targeting their stash entry, so the final entry leaf matches
-    // the per-member code path).
-    for (std::size_t i = 0; i < scratchRemapIds.size(); ++i) {
-        oram::StashEntry &entry =
-            stashEntryFor(scratchRemapIds[i], scratchRemapLeaves[i]);
-        touchMember(scratchRemapIds[i], entry.payload);
-    }
-
-    pathIo_.writePaths(scratchLeaves.data(), scratchLeaves.size());
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
-}
-
-void
-Laoram::touchMember(BlockId id, std::vector<std::uint8_t> &payload)
-{
-    if (!cache_) {
-        if (touchFn)
-            touchFn(id, payload);
-        return;
-    }
-    switch (cache_->beginScheduledAccess(id, payload)) {
-      case cache::AccessOutcome::Flushed:
-        // Admission-time ops were already applied to the row; this
-        // scheduled access is their coalesced write-back (the row was
-        // copied into the stash payload above) and must NOT run
-        // touchFn again.
-        return;
-      case cache::AccessOutcome::HitInPlace:
-        if (touchFn)
-            touchFn(id, payload);
-        cache_->completeScheduledAccess(id, payload);
-        return;
-      case cache::AccessOutcome::Miss:
-        if (touchFn)
-            touchFn(id, payload);
-        cache_->fill(id, payload);
-        return;
-    }
+    // One union read, every member touched in stream order (repeated
+    // members keep re-targeting their stash entry, so the final entry
+    // leaf matches the per-member code path), one union write-back.
+    pathIo_.access(scratchLeaves.data(), scratchLeaves.size(),
+                   scratchRemapIds.data(), scratchRemapLeaves.data(),
+                   scratchRemapIds.size(),
+                   [this](std::size_t i, oram::StashEntry &entry) {
+                       const BlockId id = scratchRemapIds[i];
+                       serveMember(id, entry.payload, false, [&] {
+                           if (touchFn)
+                               touchFn(id, entry.payload);
+                       });
+                   });
+    finishAccess();
 }
 
 void

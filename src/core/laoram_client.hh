@@ -94,17 +94,10 @@ class Laoram final : public oram::TreeOramBase
     void runTrace(const std::vector<BlockId> &trace) override;
 
     /**
-     * Serve pre-built window schedules (the output of
-     * Preprocessor::runWindow), in order. This is the serving stage of
-     * the two-stage pipeline: preprocessing already happened on
-     * another thread, so this call only performs stage-2 ORAM work.
-     */
-    void runTrace(const std::vector<WindowSchedule> &schedules);
-
-    /**
-     * Serve one preprocessed window: every bin (or training batch,
-     * when batchAccesses > 0) in stream order. Used both by the serial
-     * runTrace and by the concurrent pipeline's serving thread.
+     * Serve one preprocessed window: its bins grouped into training
+     * batches (each bin its own batch when batchAccesses is 0), in
+     * stream order. Used both by the serial runTrace and by the
+     * concurrent pipeline's serving thread.
      */
     void serveWindow(const PreprocessResult &window);
 
@@ -164,12 +157,16 @@ class Laoram final : public oram::TreeOramBase
 
   private:
     /**
-     * Serve the scheduled access of one bin/batch member: run the
-     * cache protocol around touchFn so hot rows are authoritative in
-     * client DRAM while the stash payload still carries the same
-     * final bytes as a cache-off run.
+     * Serve one member's operation @p apply on its stash @p payload:
+     * run the cache protocol around it so hot rows are authoritative
+     * in client DRAM while the stash payload still carries the same
+     * final bytes as a cache-off run. @p newOp is false for a
+     * scheduled bin/batch touch (apply runs touchFn) and true for a
+     * single access, whose caller op applies even on a Flushed row.
      */
-    void touchMember(BlockId id, std::vector<std::uint8_t> &payload);
+    template <typename Apply>
+    void serveMember(BlockId id, std::vector<std::uint8_t> &payload,
+                     bool newOp, Apply &&apply);
 
     LaoramConfig lcfg;
     TouchFn touchFn;

@@ -94,11 +94,17 @@ class ReorderWindow
     };
 
     /**
-     * RAII hand-off ticket mirroring BoundedQueue::SlotToken:
-     * releasing it (or letting it unwind) wakes producers blocked on
-     * the slot the pop vacated, so the consumer can timestamp its
-     * hand-off before producers are re-admitted — and a consumer that
-     * throws mid-window still cannot strand the pool.
+     * RAII hand-off ticket returned by popDeferred(): releasing it (or
+     * letting it go out of scope, including during stack unwinding)
+     * wakes the producers blocked on the slot the pop vacated.
+     * Splitting the pop from the wakeup lets the consumer timestamp
+     * its hand-off first: on a shared core, notify can immediately
+     * preempt the consumer in favour of a producer, and an undeferred
+     * wakeup would bill that producer work to the consumer's measured
+     * wait. Because the token releases on unwind, a consumer that
+     * throws mid-window cannot strand the producers waiting on a full
+     * window — a real deadlock once sibling consumers in a serving
+     * pool keep the window open.
      */
     class ReleaseToken
     {
@@ -216,7 +222,7 @@ class ReorderWindow
 
     /**
      * Like pop(), but defers the producer wakeup to @p token (see
-     * ReleaseToken; the rationale matches BoundedQueue::popDeferred).
+     * ReleaseToken for why).
      *
      * @return true with @p out and @p token filled, or false on
      *         exhaustion (token left empty)

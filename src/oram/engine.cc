@@ -294,37 +294,11 @@ OramEngine::applyOp(StashEntry &entry, AccessOp op,
     }
 }
 
-StashEntry &
-TreeOramBase::stashEntryFor(BlockId id, Leaf leaf)
-{
-    return stash_.findOrCreate(id, leaf, cfg.payloadBytes);
-}
-
 void
-TreeOramBase::backgroundEvict()
+TreeOramBase::finishAccess()
 {
-    if (stash_.size() <= cfg.stashHighWater)
-        return;
-
-    // Capacity trumps retention: prefetch pins are dropped before the
-    // client starts paying for dummy accesses.
-    stash_.unpinAll();
-
-    // Safety valve: with a pathological configuration (e.g. tree
-    // capacity below the working set) the stash cannot drain; cap the
-    // dummy burst instead of spinning forever.
-    constexpr std::uint64_t kMaxDummiesPerBurst = 100000;
-    std::uint64_t issued = 0;
-    while (stash_.size() > cfg.stashLowWater
-           && issued < kMaxDummiesPerBurst) {
-        pathIo_.dummyAccess(randomLeaf());
-        ++issued;
-    }
-    if (issued == kMaxDummiesPerBurst) {
-        warn("background eviction could not drain stash below ",
-             cfg.stashLowWater, " (still ", stash_.size(),
-             " blocks) after ", issued, " dummy accesses");
-    }
+    pathIo_.drainStash(cfg.stashHighWater, cfg.stashLowWater, rng);
+    mtr.observeStashSize(stash_.size());
 }
 
 } // namespace laoram::oram

@@ -202,8 +202,8 @@ void requireFreshStorage(const ServerStorage &storage,
 
 /**
  * Shared machinery for the PathORAM-family engines: server storage,
- * position map, stash, the metered path I/O every access goes
- * through, and the background-eviction (dummy read) loop of §II-E.
+ * position map, stash, and the metered path I/O whose access step
+ * and background-eviction drain (§II-E) every access goes through.
  */
 class TreeOramBase : public OramEngine
 {
@@ -238,18 +238,11 @@ class TreeOramBase : public OramEngine
     void restoreAtConstructionIfConfigured();
 
     /**
-     * Fetch @p id's stash entry, creating a zero-filled one on first
-     * touch (blocks are lazily initialised: an unwritten block reads as
-     * zeros).
+     * Close an access served through pathIo_: background eviction
+     * from the high- to the low-water mark (§II-E; the Table II
+     * experiment uses 500 -> 50), then the stash high-water sample.
      */
-    StashEntry &stashEntryFor(BlockId id, Leaf leaf);
-
-    /**
-     * Issue dummy accesses (random path read + write-back, no remap)
-     * while the stash exceeds the high-water mark, draining to the
-     * low-water mark (§II-E; Table II experiment uses 500 -> 50).
-     */
-    void backgroundEvict();
+    void finishAccess();
 
     /** Draw a uniform leaf. */
     Leaf randomLeaf() { return rng.nextBounded(geom.numLeaves()); }

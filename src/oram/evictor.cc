@@ -59,6 +59,29 @@ PathIo::dummyAccess(Leaf leaf)
 }
 
 void
+PathIo::drainStash(std::uint64_t highWater, std::uint64_t lowWater,
+                   Rng &rng)
+{
+    if (stash.size() <= highWater)
+        return;
+
+    // Capacity trumps retention: prefetch pins are dropped before the
+    // client starts paying for dummy accesses.
+    stash.unpinAll();
+
+    std::uint64_t issued = 0;
+    while (stash.size() > lowWater && issued < kMaxDummiesPerBurst) {
+        dummyAccess(rng.nextBounded(geom.numLeaves()));
+        ++issued;
+    }
+    if (issued == kMaxDummiesPerBurst) {
+        warn("background eviction could not drain stash below ",
+             lowWater, " (still ", stash.size(), " blocks) after ",
+             issued, " dummy accesses");
+    }
+}
+
+void
 PathIo::buildUnion(const Leaf *leaves, std::size_t k)
 {
     LAORAM_ASSERT(k > 0, "path access over an empty path set");

@@ -4,7 +4,10 @@
  * writes and evicts through — fetching the union of one or more
  * paths into the stash, and the greedy deepest-first write-back that
  * refills the same union from the stash (PathORAM §3.3 / paper §II-C
- * steps 2 and 5). A single path is the union of one.
+ * steps 2 and 5). A single path is the union of one. On top of it
+ * sit the one access step (read, touch the members, write back) and
+ * the one capped background-eviction drain (§II-E) that PathORAM,
+ * PrORAM, LAORAM and recursive PathORAM all serve through.
  *
  * Also hosts the tree auditor used by tests to verify the core
  * PathORAM invariant: every initialised real block lies either in the
@@ -24,6 +27,7 @@
 #include "oram/stash.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
+#include "util/rng.hh"
 
 namespace laoram::oram {
 
@@ -78,6 +82,45 @@ class PathIo : private ServerStorage::RecordSink
      * one dummy access.
      */
     void dummyAccess(Leaf leaf);
+
+    /**
+     * The access step (paper §II-C): read the union of @p k paths,
+     * then for each of the @p n members call @p touch(i, entry) on
+     * member @p ids[i]'s stash entry — created zero-filled on first
+     * touch, re-leafed to @p next[i] — then write the union back.
+     * The caller has already drawn the new leaves and updated its
+     * position map (the step draws no randomness). @p touch is a
+     * template parameter, so a batch pays no indirect call per
+     * member; it may modify the entry but must not erase it.
+     */
+    template <typename Touch>
+    void
+    access(const Leaf *leaves, std::size_t k, const BlockId *ids,
+           const Leaf *next, std::size_t n, Touch &&touch)
+    {
+        readPaths(leaves, k);
+        for (std::size_t i = 0; i < n; ++i)
+            touch(i, stash.findOrCreate(ids[i], next[i],
+                                        storage.payloadBytes()));
+        writePaths(leaves, k);
+    }
+
+    /**
+     * Background eviction (§II-E): once the stash holds more than
+     * @p highWater blocks, drop every prefetch pin and issue dummy
+     * accesses on uniform leaves drawn from @p rng until it is down
+     * to @p lowWater — at most kMaxDummiesPerBurst per call, with a
+     * warning when the cap stops the drain.
+     */
+    void drainStash(std::uint64_t highWater, std::uint64_t lowWater,
+                    Rng &rng);
+
+    /**
+     * Safety valve: with a pathological configuration (e.g. tree
+     * capacity below the working set) the stash cannot drain; cap
+     * the dummy burst instead of spinning forever.
+     */
+    static constexpr std::uint64_t kMaxDummiesPerBurst = 100000;
 
   private:
     /**

@@ -23,22 +23,18 @@ PathOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     if (stash_.contains(id))
         mtr.recordStashHit();
 
-    // (2) Fetch the path.
-    pathIo_.readPaths(&current, 1);
-
-    // (3)+(4) Remap to an independent uniform leaf, then operate on
-    // the block inside trusted memory.
+    // (2)-(5) Remap to an independent uniform leaf, fetch the path,
+    // operate on the block inside trusted memory and write the path
+    // back greedily.
     const Leaf next = randomLeaf();
     posmap_.set(id, next);
-    StashEntry &entry = stashEntryFor(id, next);
-    applyOp(entry, op, in, len, out);
-
-    // (5) Greedy write-back along the path just read.
-    pathIo_.writePaths(&current, 1);
+    pathIo_.access(&current, 1, &id, &next, 1,
+                   [&](std::size_t, StashEntry &entry) {
+                       applyOp(entry, op, in, len, out);
+                   });
 
     // §II-E: dummy reads once the stash passes its threshold.
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
+    finishAccess();
 }
 
 } // namespace laoram::oram

@@ -8,18 +8,62 @@
 
 namespace laoram::oram {
 
+SuperblockOramBase::SuperblockOramBase(const EngineConfig &cfg,
+                                       std::uint64_t groupSize)
+    : TreeOramBase(cfg), groupSize(groupSize)
+{
+    LAORAM_ASSERT(groupSize >= 1, "superblock size must be >= 1");
+}
+
+bool
+SuperblockOramBase::servePrefetchHit(BlockId id, AccessOp op,
+                                     const std::uint8_t *in,
+                                     std::size_t len,
+                                     std::vector<std::uint8_t> *out)
+{
+    StashEntry *entry = stash_.find(id);
+    if (!entry)
+        return false;
+    mtr.recordStashHit();
+    entry->pinned = false; // pending access served
+    applyOp(*entry, op, in, len, out);
+    mtr.observeStashSize(stash_.size());
+    return true;
+}
+
+void
+SuperblockOramBase::moveGroup(const Leaf *leaves, std::size_t k,
+                              BlockId first, BlockId end, BlockId id,
+                              AccessOp op, const std::uint8_t *in,
+                              std::size_t len,
+                              std::vector<std::uint8_t> *out)
+{
+    const Leaf next = randomLeaf();
+    memberIds.clear();
+    for (BlockId m = first; m < end; ++m) {
+        posmap_.set(m, next);
+        memberIds.push_back(m);
+    }
+    memberLeaves.assign(memberIds.size(), next);
+    pathIo_.access(leaves, k, memberIds.data(), memberLeaves.data(),
+                   memberIds.size(), [&](std::size_t i, StashEntry &entry) {
+                       if (memberIds[i] == id)
+                           applyOp(entry, op, in, len, out);
+                       else
+                           entry.pinned = true;
+                   });
+}
+
 StaticSuperblockOram::StaticSuperblockOram(
     const StaticSuperblockConfig &cfg)
-    : TreeOramBase(cfg.base), sbSize(cfg.superblockSize)
+    : SuperblockOramBase(cfg.base, cfg.superblockSize)
 {
-    LAORAM_ASSERT(sbSize >= 1, "superblock size must be >= 1");
     // Static superblocks require group-consistent initial positions:
     // every member of an aligned group starts on the group's leaf.
-    for (BlockId base = 0; base < this->cfg.numBlocks; base += sbSize) {
+    for (BlockId base = 0; base < this->cfg.numBlocks;
+         base += groupSize) {
         const Leaf shared = posmap_.get(base);
-        const BlockId end =
-            std::min(base + sbSize, this->cfg.numBlocks);
-        for (BlockId m = base + 1; m < end; ++m)
+        for (BlockId m = base + 1; m < groupEnd(base); ++m)
             posmap_.set(m, shared);
     }
     restoreAtConstructionIfConfigured();
@@ -28,19 +72,7 @@ StaticSuperblockOram::StaticSuperblockOram(
 std::string
 StaticSuperblockOram::name() const
 {
-    return "PrORAM-static/S" + std::to_string(sbSize);
-}
-
-BlockId
-StaticSuperblockOram::groupBase(BlockId id) const
-{
-    return (id / sbSize) * sbSize;
-}
-
-BlockId
-StaticSuperblockOram::groupEnd(BlockId id) const
-{
-    return std::min(groupBase(id) + sbSize, cfg.numBlocks);
+    return "PrORAM-static/S" + std::to_string(groupSize);
 }
 
 void
@@ -51,48 +83,23 @@ StaticSuperblockOram::access(BlockId id, AccessOp op,
     LAORAM_ASSERT(id < cfg.numBlocks, "block ", id, " out of range");
     mtr.recordLogicalAccess();
 
-    // Superblock prefetch hit: the group fetch that brought this block
-    // in already paid the path access; serve it from trusted memory
-    // (the same accounting PrORAM and LAORAM bins use). With S == 1
-    // there is no prefetching and the engine degenerates to exact
-    // PathORAM behaviour.
-    if (sbSize > 1) {
-        if (StashEntry *entry = stash_.find(id)) {
-            mtr.recordStashHit();
-            entry->pinned = false; // pending access served
-            applyOp(*entry, op, in, len, out);
-            mtr.observeStashSize(stash_.size());
-            return;
-        }
-    }
+    // With S == 1 there is no prefetching and the engine degenerates
+    // to exact PathORAM behaviour, stash hits included.
+    if (groupSize > 1 && servePrefetchHit(id, op, in, len, out))
+        return;
 
     const Leaf current = posmap_.get(id); // shared by the whole group
-
-    pathIo_.readPaths(&current, 1);
-
-    // The whole superblock moves together to one fresh uniform leaf;
-    // members other than the accessed one stay pinned client-side
-    // until their expected accesses arrive (prefetch retention).
-    const Leaf next = randomLeaf();
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-        posmap_.set(m, next);
-        StashEntry &entry = stashEntryFor(m, next);
-        if (m == id)
-            applyOp(entry, op, in, len, out);
-        else if (sbSize > 1)
-            entry.pinned = true;
-    }
-
-    pathIo_.writePaths(&current, 1);
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
+    if (stash_.contains(id))
+        mtr.recordStashHit();
+    moveGroup(&current, 1, groupBase(id), groupEnd(id), id, op, in, len,
+              out);
+    finishAccess();
 }
 
 ProOram::ProOram(const ProOramConfig &cfg)
-    : TreeOramBase(cfg.base), pcfg(cfg),
+    : SuperblockOramBase(cfg.base, cfg.groupSize), pcfg(cfg),
       groups(divCeil(cfg.base.numBlocks, cfg.groupSize))
 {
-    LAORAM_ASSERT(pcfg.groupSize >= 1, "group size must be >= 1");
     LAORAM_ASSERT(pcfg.splitThreshold < pcfg.mergeThreshold,
                   "split threshold must sit below merge threshold");
     restoreAtConstructionIfConfigured();
@@ -101,53 +108,7 @@ ProOram::ProOram(const ProOramConfig &cfg)
 std::string
 ProOram::name() const
 {
-    return "PrORAM/S" + std::to_string(pcfg.groupSize);
-}
-
-BlockId
-ProOram::groupBase(BlockId id) const
-{
-    return (id / pcfg.groupSize) * pcfg.groupSize;
-}
-
-BlockId
-ProOram::groupEnd(BlockId id) const
-{
-    return std::min(groupBase(id) + pcfg.groupSize, cfg.numBlocks);
-}
-
-void
-ProOram::mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
-                    std::size_t len, std::vector<std::uint8_t> *out)
-{
-    // Fusing a group requires co-locating members that currently live
-    // on unrelated paths: fetch the union of member paths, then remap
-    // everyone to one fresh leaf and write the union back.
-    std::vector<Leaf> leaves;
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m)
-        leaves.push_back(posmap_.get(m));
-    std::sort(leaves.begin(), leaves.end());
-    leaves.erase(std::unique(leaves.begin(), leaves.end()),
-                 leaves.end());
-
-    pathIo_.readPaths(leaves.data(), leaves.size());
-
-    const Leaf next = randomLeaf();
-    for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-        posmap_.set(m, next);
-        StashEntry &entry = stashEntryFor(m, next);
-        if (m == id)
-            applyOp(entry, op, in, len, out);
-        else
-            entry.pinned = true; // retain for the predicted accesses
-    }
-
-    pathIo_.writePaths(leaves.data(), leaves.size());
-
-    auto &g = groups[id / pcfg.groupSize];
-    g.merged = true;
-    ++nMerged;
-    ++nMergeEvents;
+    return "PrORAM/S" + std::to_string(groupSize);
 }
 
 void
@@ -156,7 +117,7 @@ ProOram::splitGroup(BlockId id)
     // Splitting is free at split time: members simply stop moving
     // together; each regains an independent leaf on its next access.
     // Retention pins are released — the prediction was withdrawn.
-    auto &g = groups[id / pcfg.groupSize];
+    auto &g = groups[id / groupSize];
     g.merged = false;
     --nMerged;
     ++nSplitEvents;
@@ -174,7 +135,7 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
     mtr.recordLogicalAccess();
     ++accessIndex;
 
-    auto &g = groups[id / pcfg.groupSize];
+    auto &g = groups[id / groupSize];
 
     // Spatial-locality counter (PrORAM §4): recent activity on the
     // group raises it, silence decays it.
@@ -191,56 +152,36 @@ ProOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         splitGroup(id);
 
     // Superblock prefetch hit on a fused group: served client-side,
-    // exactly like a LAORAM bin member (the fetch that stashed it
-    // already paid the oblivious access).
-    if (g.merged) {
-        if (StashEntry *entry = stash_.find(id)) {
-            mtr.recordStashHit();
-            entry->pinned = false; // pending access served
-            applyOp(*entry, op, in, len, out);
-            mtr.observeStashSize(stash_.size());
-            return;
-        }
-    }
-
-    if (!g.merged && g.counter >= pcfg.mergeThreshold) {
-        // Merge performs the fetch of every member (including `id`)
-        // and applies the pending operation, so the logical access
-        // completes inside it.
-        if (stash_.contains(id))
-            mtr.recordStashHit();
-        mergeGroup(id, op, in, len, out);
-        backgroundEvict();
-        mtr.observeStashSize(stash_.size());
+    // exactly like a LAORAM bin member.
+    if (g.merged && servePrefetchHit(id, op, in, len, out))
         return;
-    }
 
-    const Leaf current = posmap_.get(id);
     if (stash_.contains(id))
         mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    const Leaf next = randomLeaf();
-    if (g.merged) {
-        // Fused group: everyone shares `current` and moves together;
-        // unaccessed members stay pinned for their predicted turns.
-        for (BlockId m = groupBase(id); m < groupEnd(id); ++m) {
-            posmap_.set(m, next);
-            StashEntry &entry = stashEntryFor(m, next);
-            if (m == id)
-                applyOp(entry, op, in, len, out);
-            else
-                entry.pinned = true;
-        }
+    if (!g.merged && g.counter >= pcfg.mergeThreshold) {
+        // Fusing the group co-locates members that currently live on
+        // unrelated paths: one step over the union of their paths
+        // moves them all to one fresh leaf.
+        std::vector<Leaf> leaves;
+        for (BlockId m = groupBase(id); m < groupEnd(id); ++m)
+            leaves.push_back(posmap_.get(m));
+        std::sort(leaves.begin(), leaves.end());
+        leaves.erase(std::unique(leaves.begin(), leaves.end()),
+                     leaves.end());
+        moveGroup(leaves.data(), leaves.size(), groupBase(id),
+                  groupEnd(id), id, op, in, len, out);
+        g.merged = true;
+        ++nMerged;
+        ++nMergeEvents;
     } else {
-        posmap_.set(id, next);
-        StashEntry &entry = stashEntryFor(id, next);
-        applyOp(entry, op, in, len, out);
+        // A fused group shares `current` and moves together; an
+        // unfused block is a group of one.
+        const Leaf current = posmap_.get(id);
+        moveGroup(&current, 1, g.merged ? groupBase(id) : id,
+                  g.merged ? groupEnd(id) : id + 1, id, op, in, len,
+                  out);
     }
-
-    pathIo_.writePaths(&current, 1);
-    backgroundEvict();
-    mtr.observeStashSize(stash_.size());
+    finishAccess();
 }
 
 void

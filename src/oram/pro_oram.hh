@@ -25,9 +25,67 @@
 #ifndef LAORAM_ORAM_PRO_ORAM_HH
 #define LAORAM_ORAM_PRO_ORAM_HH
 
+#include <algorithm>
+
 #include "oram/engine.hh"
 
 namespace laoram::oram {
+
+/**
+ * What both PrORAM engines share: aligned groups of groupSize
+ * consecutive ids, the superblock prefetch hit, and the access step
+ * that moves a group to one fresh leaf.
+ */
+class SuperblockOramBase : public TreeOramBase
+{
+  protected:
+    SuperblockOramBase(const EngineConfig &cfg, std::uint64_t groupSize);
+
+    /** First member id of @p id's group. */
+    BlockId
+    groupBase(BlockId id) const
+    {
+        return id / groupSize * groupSize;
+    }
+
+    /** One-past-last member id of @p id's group. */
+    BlockId
+    groupEnd(BlockId id) const
+    {
+        return std::min(groupBase(id) + groupSize, cfg.numBlocks);
+    }
+
+    /**
+     * Superblock prefetch hit: when @p id is stash-resident, the
+     * group fetch that brought it in already paid the path access,
+     * so it is served from trusted memory (the same accounting
+     * LAORAM bins use) and its retention pin released.
+     *
+     * @return true when the access was served
+     */
+    bool servePrefetchHit(BlockId id, AccessOp op, const std::uint8_t *in,
+                          std::size_t len, std::vector<std::uint8_t> *out);
+
+    /**
+     * One access step over the union of @p k @p leaves that moves the
+     * members [first, end) together to one fresh uniform leaf: @p id
+     * gets the caller's op, and the other members stay pinned
+     * client-side until their predicted accesses arrive (prefetch
+     * retention). The op is applied before write-back, which may
+     * evict the block to the tree.
+     */
+    void moveGroup(const Leaf *leaves, std::size_t k, BlockId first,
+                   BlockId end, BlockId id, AccessOp op,
+                   const std::uint8_t *in, std::size_t len,
+                   std::vector<std::uint8_t> *out);
+
+    const std::uint64_t groupSize;
+
+  private:
+    /** moveGroup's member ids and their (shared) new leaves. */
+    std::vector<BlockId> memberIds;
+    std::vector<Leaf> memberLeaves;
+};
 
 /** Configuration for the static-superblock engine. */
 struct StaticSuperblockConfig
@@ -37,7 +95,7 @@ struct StaticSuperblockConfig
 };
 
 /** PrORAM's static superblocks: id/S defines an immutable group. */
-class StaticSuperblockOram final : public TreeOramBase
+class StaticSuperblockOram final : public SuperblockOramBase
 {
   public:
     explicit StaticSuperblockOram(const StaticSuperblockConfig &cfg);
@@ -46,14 +104,6 @@ class StaticSuperblockOram final : public TreeOramBase
 
     void access(BlockId id, AccessOp op, const std::uint8_t *in,
                 std::size_t len, std::vector<std::uint8_t> *out) override;
-
-  private:
-    /** First member id of @p id's group. */
-    BlockId groupBase(BlockId id) const;
-    /** One-past-last member id of @p id's group. */
-    BlockId groupEnd(BlockId id) const;
-
-    std::uint64_t sbSize;
 };
 
 /** Configuration for the dynamic (counter-based) PrORAM engine. */
@@ -68,7 +118,7 @@ struct ProOramConfig
 };
 
 /** PrORAM with dynamic counter-driven superblock formation. */
-class ProOram final : public TreeOramBase
+class ProOram final : public SuperblockOramBase
 {
   public:
     explicit ProOram(const ProOramConfig &cfg);
@@ -96,16 +146,6 @@ class ProOram final : public TreeOramBase
         bool everAccessed = false;
     };
 
-    BlockId groupBase(BlockId id) const;
-    BlockId groupEnd(BlockId id) const;
-    /**
-     * Fuse @p id's group: fetch every member's path (batched), remap
-     * all members to one fresh leaf, apply the pending operation on
-     * @p id, then write the path union back. The op must be applied
-     * before write-back, which may evict the block to the tree.
-     */
-    void mergeGroup(BlockId id, AccessOp op, const std::uint8_t *in,
-                    std::size_t len, std::vector<std::uint8_t> *out);
     void splitGroup(BlockId id);
 
     ProOramConfig pcfg;

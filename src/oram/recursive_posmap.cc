@@ -133,18 +133,6 @@ RecursivePositionMap::storePos(std::vector<std::uint8_t> &payload,
     std::memcpy(payload.data() + offset * 4, &v, 4);
 }
 
-std::vector<std::uint8_t> &
-RecursivePositionMap::accessLevel(Level &level, BlockId block, Leaf at,
-                                  Leaf to)
-{
-    level.io.readPaths(&at, 1);
-
-    // A missing block should not happen after bulk init; tolerate it
-    // by creating a zeroed map block (positions 0 — still valid
-    // leaves).
-    return level.stash.findOrCreate(block, to, cfg.packing * 4).payload;
-}
-
 Leaf
 RecursivePositionMap::getAndSet(BlockId id, Leaf next)
 {
@@ -171,41 +159,35 @@ RecursivePositionMap::getAndSet(BlockId id, Leaf next)
         rng.nextBounded(levels[k - 1]->geom.numLeaves());
     clientMap[block[k - 1]] = npos;
 
-    Leaf result = 0;
     for (std::size_t i = k; i-- > 0;) {
         Level &level = *levels[i];
-        // Mutate the packed word BEFORE write-back; the entry may be
-        // evicted into the tree by writePaths.
-        std::vector<std::uint8_t> &payload =
-            accessLevel(level, block[i], pos, npos);
-
         const std::uint64_t off = (i == 0)
                                       ? id % cfg.packing
                                       : block[i - 1] % cfg.packing;
-        const Leaf child = loadPos(payload, off);
-        Leaf child_new;
-        if (i == 0) {
-            result = child;
-            child_new = next;
-        } else {
-            child_new =
-                rng.nextBounded(levels[i - 1]->geom.numLeaves());
-        }
-        storePos(payload, off, child_new);
-
-        level.io.writePaths(&pos, 1);
+        // Swap the packed word inside the step, before write-back may
+        // evict the map block into the tree. A block missing after
+        // bulk init would come back zeroed (positions 0 — still valid
+        // leaves).
+        const std::uint64_t childLeaves =
+            (i == 0) ? dataLeaves : levels[i - 1]->geom.numLeaves();
+        Leaf child = 0;
+        Leaf child_new = 0;
+        level.io.access(&pos, 1, &block[i], &npos, 1,
+                        [&](std::size_t, StashEntry &entry) {
+                            child = loadPos(entry.payload, off);
+                            child_new = (i == 0)
+                                            ? next
+                                            : rng.nextBounded(childLeaves);
+                            storePos(entry.payload, off, child_new);
+                        });
 
         // Keep the small map stashes bounded.
-        if (level.stash.size() > kLevelHighWater) {
-            while (level.stash.size() > kLevelLowWater)
-                level.io.dummyAccess(
-                    rng.nextBounded(level.geom.numLeaves()));
-        }
+        level.io.drainStash(kLevelHighWater, kLevelLowWater, rng);
 
         pos = child;
         npos = child_new;
     }
-    return result;
+    return pos; // level 0's word: the data block's old leaf
 }
 
 const std::vector<std::uint8_t> *
@@ -379,17 +361,11 @@ RecursivePathOram::access(BlockId id, AccessOp op,
 
     if (stash_.contains(id))
         mtr.recordStashHit();
-    pathIo_.readPaths(&current, 1);
-
-    applyOp(stash_.findOrCreate(id, next, cfg.payloadBytes), op, in,
-            len, out);
-
-    pathIo_.writePaths(&current, 1);
-
-    if (stash_.size() > cfg.stashHighWater) {
-        while (stash_.size() > cfg.stashLowWater)
-            pathIo_.dummyAccess(rng.nextBounded(geom.numLeaves()));
-    }
+    pathIo_.access(&current, 1, &id, &next, 1,
+                   [&](std::size_t, StashEntry &entry) {
+                       applyOp(entry, op, in, len, out);
+                   });
+    pathIo_.drainStash(cfg.stashHighWater, cfg.stashLowWater, rng);
     mtr.observeStashSize(stash_.size());
 }
 

@@ -113,15 +113,6 @@ class RecursivePositionMap
         PathIo io;
     };
 
-    /**
-     * Oblivious access to @p level's block @p block located at
-     * @p at; remaps it to @p to and returns its stash entry payload
-     * for in-place mutation (valid until the level's next access).
-     */
-    std::vector<std::uint8_t> &accessLevel(Level &level,
-                                           BlockId block, Leaf at,
-                                           Leaf to);
-
     /** Read a packed 32-bit position word. */
     static Leaf loadPos(const std::vector<std::uint8_t> &payload,
                         std::uint64_t offset);

@@ -9,7 +9,7 @@
  * to every A-th access along reverse-lexicographic paths. Buckets
  * whose unread slots are exhausted are reshuffled early.
  *
- * Simplifications relative to the original (documented in DESIGN.md):
+ * Simplifications relative to the original:
  * bucket metadata (which slot holds which block, remaining unread
  * dummies) is kept client-side instead of in encrypted server headers,
  * and the XOR trick for combining dummy reads is omitted. Neither

@@ -311,7 +311,7 @@ RemoteKvServer::admitMutation(std::uint64_t sessionId,
                               std::uint64_t seq)
 {
     if (sessionId == 0)
-        return true; // legacy client: no replay session, no dedupe
+        return true; // self-hosted client: no replay, no dedupe
     std::lock_guard<std::mutex> lock(sessionMu);
     std::uint64_t &highWater = sessionHighWater[sessionId];
     if (seq <= highWater) {
@@ -350,7 +350,7 @@ RemoteKvServer::serveConnection(int fd)
     }
 
     /** Replay session bound to this connection by its Hello (0 until
-     *  then, and forever for a legacy 16-byte Hello). */
+     *  then, and forever for a self-hosted client, which sends 0). */
     std::uint64_t connSession = 0;
 
     // Wire-supplied indices are untrusted input: a bad one must drop
@@ -381,13 +381,13 @@ RemoteKvServer::serveConnection(int fd)
 
         switch (static_cast<RemoteOp>(op)) {
           case RemoteOp::Hello: {
-            // 16 B legacy (slots, recordBytes) or 24 B with a replay
-            // sessionId appended; anything else is a corrupt stream.
-            if (payloadLen != 16 && payloadLen != 24) {
+            // Exactly (slots, recordBytes, sessionId); anything else
+            // is a corrupt stream.
+            if (payloadLen != 3 * sizeof(std::uint64_t)) {
                 ok = false;
                 break;
             }
-            connSession = payloadLen == 24 ? readU64(payload + 16) : 0;
+            connSession = readU64(payload + 16);
             appendU64(resp, store->slots());
             appendU64(resp, store->recordBytes());
             appendU64(resp, store->metaCapacity());

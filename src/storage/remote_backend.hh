@@ -38,8 +38,9 @@
  *   response := same framing; opcode = request opcode | 0x80, seq
  *               echoed; a response is sent for every request.
  *
- *   Hello      c->s: u64 slots, u64 recordBytes
- *                    [, u64 sessionId]   (16 B legacy / 24 B current)
+ *   Hello      c->s: u64 slots, u64 recordBytes, u64 sessionId
+ *                    (0 = self-hosted: no replay dedupe); any other
+ *                    length drops the connection
  *              s->c: u64 slots, u64 recordBytes, u64 metaCapacity,
  *                    u8 persistent, u8 openedExisting
  *   ReadSlots  c->s: u64 n, u64 slot[n]

@@ -30,59 +30,6 @@ template <typename T>
 class BoundedQueue
 {
   public:
-    /**
-     * RAII hand-off ticket returned by popDeferred(): releasing it (or
-     * letting it go out of scope, including during stack unwinding)
-     * wakes one producer blocked on the slot the pop vacated. Without
-     * it, a consumer that throws between the pop and the wakeup would
-     * strand every producer waiting on a full queue — harmless while
-     * close() runs in the only consumer's catch block, a real deadlock
-     * once sibling consumers in a serving pool keep the queue open.
-     */
-    class SlotToken
-    {
-      public:
-        SlotToken() = default;
-        ~SlotToken() { release(); }
-
-        SlotToken(SlotToken &&other) noexcept
-            : queue(std::exchange(other.queue, nullptr))
-        {
-        }
-
-        SlotToken &
-        operator=(SlotToken &&other) noexcept
-        {
-            if (this != &other) {
-                release();
-                queue = std::exchange(other.queue, nullptr);
-            }
-            return *this;
-        }
-
-        SlotToken(const SlotToken &) = delete;
-        SlotToken &operator=(const SlotToken &) = delete;
-
-        /** Wake a blocked producer now instead of at destruction. */
-        void
-        release()
-        {
-            if (queue != nullptr) {
-                queue->notFull.notify_one();
-                queue = nullptr;
-            }
-        }
-
-        /** True while the token still owes a producer wakeup. */
-        bool held() const { return queue != nullptr; }
-
-      private:
-        friend class BoundedQueue<T>;
-        explicit SlotToken(BoundedQueue<T> *q) : queue(q) {}
-
-        BoundedQueue<T> *queue = nullptr;
-    };
-
     explicit BoundedQueue(std::size_t capacity) : cap(capacity)
     {
         LAORAM_ASSERT(capacity >= 1,
@@ -147,35 +94,6 @@ class BoundedQueue
         items.pop_front();
         lock.unlock();
         notFull.notify_one();
-        return true;
-    }
-
-    /**
-     * Like pop(), but defers the producer wakeup to @p token: the
-     * notify fires when the token is released or destroyed. Splitting
-     * the two lets a consumer timestamp the hand-off before the
-     * wakeup: on a shared core, notify_one can immediately preempt the
-     * consumer in favour of the producer, and an undeferred notify
-     * would bill that producer work to the consumer's measured wait.
-     * Because the token releases on unwind, a consumer that throws
-     * mid-window cannot leak the wakeup.
-     *
-     * @return true with @p out and @p token filled, or false on
-     *         exhaustion (token left empty)
-     */
-    bool
-    popDeferred(T &out, SlotToken &token)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        notEmpty.wait(lock, [&] { return closed || !items.empty(); });
-        if (items.empty()) {
-            token = SlotToken(); // exhaustion leaves the token empty
-            return false;        // closed and drained
-        }
-        out = std::move(items.front());
-        items.pop_front();
-        lock.unlock();
-        token = SlotToken(this);
         return true;
     }
 

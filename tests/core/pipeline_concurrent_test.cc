@@ -321,8 +321,9 @@ TEST(ConcurrentPipeline, SinglePrepThreadHasNoReorderStall)
 
 TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
 {
-    // Laoram::runTrace(schedules) — the pipeline's serving stage used
-    // standalone — must match the one-shot serial runTrace.
+    // Laoram::serveWindow over prebuilt schedules — the pipeline's
+    // serving stage used standalone — must match the one-shot serial
+    // runTrace.
     const auto trace = randomTrace(1000, 256, 23);
     const std::uint64_t window = 250;
 
@@ -346,7 +347,8 @@ TEST(ConcurrentPipeline, PrebuiltSchedulesServeIdentically)
                                            trace.data() + start,
                                            trace.data() + stop));
     }
-    staged.runTrace(schedules);
+    for (const WindowSchedule &sched : schedules)
+        staged.serveWindow(sched.result);
 
     expectEnginesIdentical(serial, staged);
 }

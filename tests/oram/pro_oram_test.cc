@@ -106,20 +106,34 @@ TEST(StaticSuperblock, NeighbourAccessServedFromPrefetch)
 
 TEST(StaticSuperblock, SizeOneIsPathOram)
 {
-    // superblockSize 1 must behave exactly like PathORAM in traffic.
-    StaticSuperblockOram s(staticConfig(128, 1, 0));
-    EngineConfig pcfg = staticConfig(128, 1, 0).base;
-    PathOram p(pcfg);
+    // superblockSize 1 must behave exactly like PathORAM in every
+    // counter. Small buckets and a hot set (16 of 128 ids) keep blocks
+    // stash-resident, so stash hits are compared too.
+    StaticSuperblockConfig cfg = staticConfig(128, 1, 0);
+    cfg.base.profile = BucketProfile::uniform(2);
+    StaticSuperblockOram s(cfg);
+    PathOram p(cfg.base);
     std::vector<BlockId> trace;
     Rng rng(3);
-    for (int i = 0; i < 300; ++i)
-        trace.push_back(rng.nextBounded(128));
+    for (int i = 0; i < 20000; ++i)
+        trace.push_back(rng.nextBool(0.5) ? rng.nextBounded(16)
+                                          : rng.nextBounded(128));
     s.runTrace(trace);
     p.runTrace(trace);
-    EXPECT_EQ(s.meter().counters().pathReads,
-              p.meter().counters().pathReads);
-    EXPECT_EQ(s.meter().counters().bytesRead,
-              p.meter().counters().bytesRead);
+    const mem::TrafficCounters sc = s.meter().counters();
+    const mem::TrafficCounters pc = p.meter().counters();
+    ASSERT_GT(pc.stashHits, 0u);
+    EXPECT_EQ(sc.logicalAccesses, pc.logicalAccesses);
+    EXPECT_EQ(sc.pathReads, pc.pathReads);
+    EXPECT_EQ(sc.pathWrites, pc.pathWrites);
+    EXPECT_EQ(sc.dummyReads, pc.dummyReads);
+    EXPECT_EQ(sc.blocksRead, pc.blocksRead);
+    EXPECT_EQ(sc.blocksWritten, pc.blocksWritten);
+    EXPECT_EQ(sc.bytesRead, pc.bytesRead);
+    EXPECT_EQ(sc.bytesWritten, pc.bytesWritten);
+    EXPECT_EQ(sc.stashPeak, pc.stashPeak);
+    EXPECT_EQ(sc.stashHits, pc.stashHits);
+    EXPECT_EQ(sc.reshuffles, pc.reshuffles);
 }
 
 TEST(StaticSuperblock, NameEncodesSize)

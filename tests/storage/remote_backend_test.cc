@@ -123,6 +123,41 @@ TEST(RemoteBackend, ReadObservesAllPendingWrites)
     EXPECT_EQ(out, pattern(4));
 }
 
+void
+putU64(std::vector<std::uint8_t> &body, std::uint64_t v)
+{
+    const std::size_t at = body.size();
+    body.resize(at + sizeof(v));
+    std::memcpy(body.data() + at, &v, sizeof(v));
+}
+
+/**
+ * Send the hand-crafted frame @p body on @p fd and expect the node to
+ * drop the connection without replying: the next read observes EOF.
+ * Then check the node survives and still serves a well-behaved
+ * client.
+ */
+void
+expectDroppedWithoutReply(RemoteKvServer &server, int fd,
+                          const std::vector<std::uint8_t> &body)
+{
+    const std::uint32_t len = static_cast<std::uint32_t>(body.size());
+    ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(len)));
+    ASSERT_EQ(::send(fd, body.data(), body.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(body.size()));
+
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
+
+    RemoteKvBackend ok(server.connectClient(), kSlots, kRecBytes,
+                       RemoteKvConfig{});
+    const auto rec = pattern(0x05);
+    ok.writeSlot(0, rec.data());
+    ok.flush();
+}
+
 TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
 {
     auto server = dramServer();
@@ -132,32 +167,26 @@ TEST(RemoteBackend, ServerDropsConnectionOnOutOfRangeSlot)
     // the end): wire input is untrusted, so the node must drop the
     // connection — not crash, not serve out-of-bounds bytes.
     std::vector<std::uint8_t> body;
-    auto putU64 = [&body](std::uint64_t v) {
-        const std::size_t at = body.size();
-        body.resize(at + sizeof(v));
-        std::memcpy(body.data() + at, &v, sizeof(v));
-    };
-    body.push_back(2); // RemoteOp::ReadSlots
-    putU64(1);         // seq
-    putU64(1);         // n = 1 slot
-    putU64(kSlots);    // out of range
-    const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-    ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(len)));
-    ASSERT_EQ(::send(fd, body.data(), body.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(body.size()));
+    body.push_back(2);    // RemoteOp::ReadSlots
+    putU64(body, 1);      // seq
+    putU64(body, 1);      // n = 1 slot
+    putU64(body, kSlots); // out of range
+    expectDroppedWithoutReply(*server, fd, body);
+}
 
-    // No response frame: the next read observes EOF.
-    std::uint8_t byte = 0;
-    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
-    ::close(fd);
+TEST(RemoteBackend, ServerDropsSixteenByteHello)
+{
+    auto server = dramServer();
+    const int fd = server->connectClient();
 
-    // The node survives and still serves well-behaved clients.
-    RemoteKvBackend ok(server->connectClient(), kSlots, kRecBytes,
-                       RemoteKvConfig{});
-    const auto rec = pattern(0x05);
-    ok.writeSlot(0, rec.data());
-    ok.flush();
+    // A Hello is exactly (slots, recordBytes, sessionId); the 16-byte
+    // form without a sessionId is a corrupt stream.
+    std::vector<std::uint8_t> body;
+    body.push_back(1);       // RemoteOp::Hello
+    putU64(body, 0);         // seq
+    putU64(body, kSlots);    // slots
+    putU64(body, kRecBytes); // recordBytes, no sessionId
+    expectDroppedWithoutReply(*server, fd, body);
 }
 
 TEST(RemoteBackend, HandshakeRejectsGeometryMismatch)
