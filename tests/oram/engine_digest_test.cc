@@ -2,7 +2,8 @@
  * @file
  * Trace-digest regression pins: every tree engine (PathORAM, static
  * and dynamic PrORAM, LAORAM through runTrace and through single
- * accesses with and without the hot cache, recursive PathORAM) runs
+ * accesses with and without the hot cache, recursive PathORAM,
+ * RingORAM) runs
  * one fixed mixed read/write trace, and three FNV-1a digests of the
  * run are compared against constants:
  *
@@ -27,6 +28,7 @@
 #include "oram/path_oram.hh"
 #include "oram/pro_oram.hh"
 #include "oram/recursive_posmap.hh"
+#include "oram/ring_oram.hh"
 #include "util/rng.hh"
 
 namespace laoram {
@@ -116,8 +118,9 @@ struct Digests
 };
 
 /** Install a digesting access sink on @p engine's storage. */
+template <typename Engine>
 void
-recordSink(oram::TreeOramBase &engine, Digest &sink)
+recordSink(Engine &engine, Digest &sink)
 {
     engine.storageForTest().setAccessSink(
         [&sink](std::uint64_t slot, bool write) {
@@ -154,9 +157,9 @@ readBack(oram::OramEngine &engine, Digest &payloads)
  * Serve the mixed trace through single access() calls, then read
  * every block back. @p beforeOp runs ahead of each operation.
  */
-template <typename BeforeOp>
+template <typename SinkOwner, typename BeforeOp>
 Digests
-runAccesses(oram::OramEngine &engine, oram::TreeOramBase *sinkOwner,
+runAccesses(oram::OramEngine &engine, SinkOwner *sinkOwner,
             BeforeOp beforeOp)
 {
     Digest sink, payloads;
@@ -178,8 +181,9 @@ runAccesses(oram::OramEngine &engine, oram::TreeOramBase *sinkOwner,
     return {sink.h, countersDigest(engine), payloads.h};
 }
 
+template <typename SinkOwner>
 Digests
-runAccesses(oram::OramEngine &engine, oram::TreeOramBase *sinkOwner)
+runAccesses(oram::OramEngine &engine, SinkOwner *sinkOwner)
 {
     return runAccesses(engine, sinkOwner,
                        [](std::size_t, const TraceOp &) {});
@@ -303,9 +307,31 @@ TEST(EngineDigest, RecursivePathOram)
     rcfg.seed = 11;
     oram::RecursivePathOram engine(baseConfig(), rcfg);
     ASSERT_GE(engine.positionMap().oramLevels(), 1u);
-    const Digests got = runAccesses(engine, nullptr);
+    const Digests got =
+        runAccesses(engine, static_cast<oram::TreeOramBase *>(nullptr));
     EXPECT_EQ(got.sink, Digest{}.h) << "no access sink installed";
     expectPinned(got, Digest{}.h, 0x50c042ecf4817ba3ull,
+                 0xc19d7d62107116a5ull);
+}
+
+TEST(EngineDigest, RingOram)
+{
+    // Default water marks: the high-water drain never runs, so the
+    // leg pins the sparse reads, the every-A evictions and the early
+    // reshuffles.
+    oram::RingOramConfig cfg;
+    cfg.base = baseConfig();
+    cfg.base.stashHighWater = oram::EngineConfig{}.stashHighWater;
+    cfg.base.stashLowWater = oram::EngineConfig{}.stashLowWater;
+    cfg.realZ = 3;
+    cfg.dummies = 2;
+    cfg.evictEvery = 3;
+    oram::RingOram engine(cfg);
+    const Digests got = runAccesses(engine, &engine);
+    EXPECT_GT(engine.meter().counters().reshuffles, 0u);
+    EXPECT_EQ(engine.meter().counters().dummyReads, 0u);
+    EXPECT_EQ(engine.auditRing(), "");
+    expectPinned(got, 0x837434afdf835fe9ull, 0x51afa48dc7bf1b49ull,
                  0xc19d7d62107116a5ull);
 }
 
