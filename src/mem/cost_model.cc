@@ -35,9 +35,12 @@ CostModel::pathWriteNs(std::uint64_t bytes, std::uint64_t blocks) const
 }
 
 double
-CostModel::dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks) const
+CostModel::dummyAccessNs(std::uint64_t bytesRead, std::uint64_t blocksRead,
+                         std::uint64_t bytesWritten,
+                         std::uint64_t blocksWritten) const
 {
-    return pathReadNs(bytes, blocks) + pathWriteNs(bytes, blocks);
+    return pathReadNs(bytesRead, blocksRead)
+        + pathWriteNs(bytesWritten, blocksWritten);
 }
 
 } // namespace laoram::mem

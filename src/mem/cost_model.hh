@@ -52,10 +52,13 @@ class CostModel
     double pathWriteNs(std::uint64_t bytes, std::uint64_t blocks) const;
 
     /**
-     * A dummy (background-eviction) access is a full read plus write of
-     * one random path.
+     * A dummy (background-eviction) access is a read plus a write-back
+     * of one path: @p bytesRead / @p blocksRead fetched, @p bytesWritten
+     * / @p blocksWritten stored.
      */
-    double dummyAccessNs(std::uint64_t bytes, std::uint64_t blocks) const;
+    double dummyAccessNs(std::uint64_t bytesRead, std::uint64_t blocksRead,
+                         std::uint64_t bytesWritten,
+                         std::uint64_t blocksWritten) const;
 
     const CostModelParams &params() const { return p; }
 

@@ -104,14 +104,18 @@ TrafficMeter::recordPathWrites(std::uint64_t paths, std::uint64_t bytes,
 }
 
 void
-TrafficMeter::recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks)
+TrafficMeter::recordDummyAccess(std::uint64_t bytesRead,
+                                std::uint64_t blocksRead,
+                                std::uint64_t bytesWritten,
+                                std::uint64_t blocksWritten)
 {
     ++c.dummyReads;
-    c.blocksRead += blocks;
-    c.bytesRead += bytes;
-    c.blocksWritten += blocks;
-    c.bytesWritten += bytes;
-    clk.advanceNs(model.dummyAccessNs(bytes, blocks));
+    c.blocksRead += blocksRead;
+    c.bytesRead += bytesRead;
+    c.blocksWritten += blocksWritten;
+    c.bytesWritten += bytesWritten;
+    clk.advanceNs(model.dummyAccessNs(bytesRead, blocksRead,
+                                      bytesWritten, blocksWritten));
 }
 
 void

@@ -87,8 +87,15 @@ class TrafficMeter
     /** Write-back of a path union. */
     void recordPathWrites(std::uint64_t paths, std::uint64_t bytes,
                           std::uint64_t blocks);
-    /** A dummy background-eviction access (full read + write). */
-    void recordDummyAccess(std::uint64_t bytes, std::uint64_t blocks);
+    /**
+     * A dummy background-eviction access: @p blocksRead slots read
+     * and @p blocksWritten slots written back (a PathORAM dummy moves
+     * the same path both ways).
+     */
+    void recordDummyAccess(std::uint64_t bytesRead,
+                           std::uint64_t blocksRead,
+                           std::uint64_t bytesWritten,
+                           std::uint64_t blocksWritten);
     /**
      * A RingORAM bucket reshuffle: @p blocksRead valid blocks read and
      * @p blocksWritten slots rewritten, charged without touching the

@@ -55,7 +55,8 @@ PathIo::dummyAccess(Leaf leaf)
     fetchUnion();
     evictUnion();
     const std::uint64_t slots = slotScratch.size();
-    meter.recordDummyAccess(slots * geom.blockBytes(), slots);
+    const std::uint64_t bytes = slots * geom.blockBytes();
+    meter.recordDummyAccess(bytes, slots, bytes, slots);
 }
 
 void
@@ -213,14 +214,17 @@ auditTree(const TreeGeometry &geom, const ServerStorage &storage,
 {
     std::ostringstream err;
     std::unordered_set<BlockId> seen;
-    StoredBlock b;
+    std::vector<std::uint64_t> slots;
+    std::vector<StoredBlock> bucket;
 
     for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
         const unsigned level = geom.nodeLevel(node);
         const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s) {
-            storage.readSlot(base + s, b);
+        slots.resize(geom.bucketSize(level));
+        for (std::uint64_t s = 0; s < slots.size(); ++s)
+            slots[s] = base + s;
+        storage.readSlots(slots.data(), slots.size(), bucket);
+        for (const StoredBlock &b : bucket) {
             if (b.isDummy())
                 continue;
             if (!seen.insert(b.id).second) {

@@ -71,14 +71,21 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
     }
     clientMap = pos.back();
 
-    std::vector<std::uint8_t> payload(payload_bytes);
+    // Each level is placed with one vectored write; block j's payload
+    // lives at payloads[j * payload_bytes] until it completes.
+    std::vector<std::uint8_t> payloads;
+    std::vector<ServerStorage::SlotWriteOp> ops;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         Level &level = *levels[i];
+        payloads.assign(level.blocks * payload_bytes, 0);
+        ops.clear();
         // Per-node occupancy so the bulk load never overwrites.
         std::vector<std::uint8_t> filled(level.geom.numNodes(), 0);
         for (BlockId j = 0; j < level.blocks; ++j) {
             // Payload: packed child positions (level i-1 blocks, or
             // the main data map when i == 0).
+            const std::uint8_t *payload =
+                payloads.data() + j * payload_bytes;
             for (std::uint64_t t = 0; t < cfg.packing; ++t) {
                 const std::uint64_t child = j * cfg.packing + t;
                 Leaf value = 0;
@@ -91,7 +98,7 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
                                 ? pos[i - 1][child]
                                 : 0;
                 }
-                storePos(payload, t, value);
+                storePos(payloads, j * cfg.packing + t, value);
             }
             // Place block j on its path, deepest free slot first.
             const Leaf home = pos[i][j];
@@ -100,17 +107,18 @@ RecursivePositionMap::RecursivePositionMap(std::uint64_t numBlocks,
                 const NodeIndex node = level.geom.pathNode(home, lvl);
                 const std::uint64_t z = level.geom.bucketSize(lvl);
                 if (filled[node] < z) {
-                    level.storage.writeSlot(
-                        level.geom.nodeSlotBase(node) + filled[node],
-                        j, home, payload.data(), payload.size());
+                    ops.push_back({level.geom.nodeSlotBase(node)
+                                       + filled[node],
+                                   j, home, payload, payload_bytes});
                     ++filled[node];
                     placed = true;
                     break;
                 }
             }
             if (!placed)
-                level.stash.put(j, home, payload);
+                level.stash.put(j, home, payload, payload_bytes);
         }
+        level.storage.writeSlots(ops.data(), ops.size());
     }
 }
 
@@ -198,17 +206,19 @@ RecursivePositionMap::peekLevel(const Level &level, BlockId block,
 {
     if (const StashEntry *entry = level.stash.find(block))
         return &entry->payload;
-    StoredBlock b;
+    std::vector<std::uint64_t> slots;
     for (unsigned lvl = 0; lvl < level.geom.numLevels(); ++lvl) {
         const NodeIndex node = level.geom.pathNode(at, lvl);
         const std::uint64_t base = level.geom.nodeSlotBase(node);
-        const std::uint64_t z = level.geom.bucketSize(lvl);
-        for (std::uint64_t s = 0; s < z; ++s) {
-            level.storage.readSlot(base + s, b);
-            if (!b.isDummy() && b.id == block) {
-                scratch = b.payload;
-                return &scratch;
-            }
+        for (std::uint64_t s = 0; s < level.geom.bucketSize(lvl); ++s)
+            slots.push_back(base + s);
+    }
+    std::vector<StoredBlock> path;
+    level.storage.readSlots(slots.data(), slots.size(), path);
+    for (StoredBlock &b : path) {
+        if (b.id == block) {
+            scratch = std::move(b.payload);
+            return &scratch;
         }
     }
     return nullptr;
@@ -259,6 +269,39 @@ RecursivePositionMap::serverBytes() const
     return bytes;
 }
 
+namespace {
+
+/**
+ * Streams decoded tree slots into a snapshot: dummies travel as the
+ * invalid id alone, real records carry leaf + packed-position payload.
+ */
+class SlotSaver final : public ServerStorage::RecordSink
+{
+  public:
+    SlotSaver(serde::Serializer &s, std::uint64_t payloadBytes)
+        : s(s), payloadBytes(payloadBytes)
+    {
+    }
+
+    void
+    record(std::size_t, BlockId id, Leaf leaf,
+           const std::uint8_t *payload) override
+    {
+        s.u64(id);
+        if (id == kInvalidBlock)
+            return;
+        s.u64(leaf);
+        s.u64(payloadBytes); // a blob: length, then bytes
+        s.bytes(payload, payloadBytes);
+    }
+
+  private:
+    serde::Serializer &s;
+    std::uint64_t payloadBytes;
+};
+
+} // namespace
+
 void
 RecursivePositionMap::save(serde::Serializer &s) const
 {
@@ -271,19 +314,13 @@ RecursivePositionMap::save(serde::Serializer &s) const
     for (const auto &level : levels) {
         s.u64(level->blocks);
         level->stash.save(s);
-        // Decoded tree slots: dummies travel as the invalid id alone,
-        // real records carry leaf + packed-position payload.
-        s.u64(level->storage.slots());
-        StoredBlock b;
-        for (std::uint64_t slot = 0; slot < level->storage.slots();
-             ++slot) {
-            level->storage.readSlot(slot, b);
-            s.u64(b.id);
-            if (b.isDummy())
-                continue;
-            s.u64(b.leaf);
-            s.blob(b.payload);
-        }
+        // Every tree slot, read as one vectored op.
+        std::vector<std::uint64_t> slots(level->storage.slots());
+        for (std::uint64_t slot = 0; slot < slots.size(); ++slot)
+            slots[slot] = slot;
+        s.u64(slots.size());
+        SlotSaver saver(s, level->storage.payloadBytes());
+        level->storage.readSlots(slots.data(), slots.size(), saver);
     }
 }
 
@@ -321,17 +358,21 @@ RecursivePositionMap::restore(serde::Deserializer &d)
                 "recursive-map level has " + std::to_string(slots)
                 + " tree slots in the snapshot but "
                 + std::to_string(level->storage.slots()) + " here");
+        // Decode every slot, then rewrite the tree as one vectored
+        // op (records holds the payloads the ops point into).
+        std::vector<StoredBlock> records(slots);
+        std::vector<ServerStorage::SlotWriteOp> ops(slots);
         for (std::uint64_t slot = 0; slot < slots; ++slot) {
-            const BlockId id = d.u64();
-            if (id == kInvalidBlock) {
-                level->storage.writeDummy(slot);
-                continue;
+            StoredBlock &b = records[slot];
+            b.id = d.u64();
+            if (!b.isDummy()) {
+                b.leaf = d.u64();
+                b.payload = d.blob();
             }
-            const Leaf leaf = d.u64();
-            const std::vector<std::uint8_t> payload = d.blob();
-            level->storage.writeSlot(slot, id, leaf, payload.data(),
-                                     payload.size());
+            ops[slot] = {slot, b.id, b.leaf, b.payload.data(),
+                         b.payload.size()};
         }
+        level->storage.writeSlots(ops.data(), ops.size());
     }
 }
 
@@ -372,13 +413,16 @@ RecursivePathOram::access(BlockId id, AccessOp op,
 std::string
 RecursivePathOram::auditRecursive(std::uint64_t sampleStride) const
 {
-    StoredBlock b;
+    std::vector<std::uint64_t> slots;
+    std::vector<StoredBlock> bucket;
     for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
         const unsigned level = geom.nodeLevel(node);
         const std::uint64_t base = geom.nodeSlotBase(node);
-        const std::uint64_t z = geom.bucketSize(level);
-        for (std::uint64_t s = 0; s < z; ++s) {
-            storage_.readSlot(base + s, b);
+        slots.resize(geom.bucketSize(level));
+        for (std::uint64_t s = 0; s < slots.size(); ++s)
+            slots[s] = base + s;
+        storage_.readSlots(slots.data(), slots.size(), bucket);
+        for (const StoredBlock &b : bucket) {
             if (b.isDummy() || (b.id % sampleStride) != 0)
                 continue;
             const Leaf mapped = rpm.peek(b.id);

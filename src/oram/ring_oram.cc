@@ -43,7 +43,8 @@ std::string
 RingOram::auditRing() const
 {
     std::unordered_set<BlockId> seen;
-    StoredBlock b;
+    std::vector<std::uint64_t> slots;
+    std::vector<StoredBlock> blocks;
     for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
         const auto &meta = buckets[node];
         const unsigned level = geom.nodeLevel(node);
@@ -51,8 +52,13 @@ RingOram::auditRing() const
         if (meta.unreadSlots < meta.real.size())
             return "bucket " + std::to_string(node)
                 + " has fewer unread slots than valid blocks";
-        for (const auto &[id, off] : meta.real) {
-            storage_.readSlot(base + off, b);
+        slots.clear();
+        for (const auto &entry : meta.real)
+            slots.push_back(base + entry.second);
+        storage_.readSlots(slots.data(), slots.size(), blocks);
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            const BlockId id = meta.real[i].first;
+            const StoredBlock &b = blocks[i];
             if (b.id != id)
                 return "slot record id mismatch at node "
                     + std::to_string(node);
@@ -107,9 +113,11 @@ RingOram::readPathSparse(Leaf leaf, BlockId id)
                                    return e.first == id;
                                });
         if (it != meta.real.end()) {
-            storage_.readSlot(base + it->second, scratch);
-            LAORAM_ASSERT(scratch.id == id, "bucket metadata desynced");
-            stash_.put(scratch.id, scratch.leaf, scratch.payload);
+            const std::uint64_t slot = base + it->second;
+            storage_.readSlots(&slot, 1, blockScratch);
+            const StoredBlock &b = blockScratch[0];
+            LAORAM_ASSERT(b.id == id, "bucket metadata desynced");
+            stash_.put(b.id, b.leaf, b.payload);
             meta.real.erase(it);
             LAORAM_ASSERT(meta.unreadSlots > 0, "read of read slot");
             --meta.unreadSlots;
@@ -229,10 +237,13 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
     storage_.writeSlots(writeScratch.data(), writeScratch.size());
     stash_.eraseAt(evictedScratch.data(), evictedScratch.size());
 
+    // Only the valid blocks were read; every slot of the path is
+    // written back.
     const std::uint64_t writeBlocks =
         geom.numLevels() * slotsPerBucket;
     if (asDummy) {
-        mtr.recordDummyAccess(writeBlocks * cfg.blockBytes, writeBlocks);
+        mtr.recordDummyAccess(blocksIn * cfg.blockBytes, blocksIn,
+                              writeBlocks * cfg.blockBytes, writeBlocks);
     } else {
         mtr.recordPathReads(1, blocksIn * cfg.blockBytes, blocksIn);
         mtr.recordPathWrites(1, writeBlocks * cfg.blockBytes,
@@ -264,14 +275,19 @@ RingOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         sinceEvict = 0;
     }
 
-    // Stash high-water safety: extra evictions billed as dummies.
+    // Stash high-water safety: extra evictions billed as dummies,
+    // capped like PathIo::drainStash.
     if (stash_.size() > cfg.stashHighWater) {
-        constexpr std::uint64_t kMaxBurst = 100000;
         std::uint64_t issued = 0;
         while (stash_.size() > cfg.stashLowWater
-               && issued < kMaxBurst) {
+               && issued < PathIo::kMaxDummiesPerBurst) {
             evictPath(reverseLexLeaf(evictCounter++), true);
             ++issued;
+        }
+        if (issued == PathIo::kMaxDummiesPerBurst) {
+            warn("background eviction could not drain stash below ",
+                 cfg.stashLowWater, " (still ", stash_.size(),
+                 " blocks) after ", issued, " dummy evictions");
         }
     }
     mtr.observeStashSize(stash_.size());

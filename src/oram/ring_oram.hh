@@ -14,6 +14,11 @@
  * dummies) is kept client-side instead of in encrypted server headers,
  * and the XOR trick for combining dummy reads is omitted. Neither
  * changes the block-fetch counts the §VIII-G comparison is about.
+ * The sparse read also fetches only the requested block's slot: the
+ * other buckets' dummy-slot reads are charged to the meter but never
+ * issued to storage. So RingORAM's server trace is *not* oblivious
+ * (it names the bucket that holds the block), and only its counts
+ * back §VIII-G.
  */
 
 #ifndef LAORAM_ORAM_RING_ORAM_HH
@@ -99,7 +104,6 @@ class RingOram final : public OramEngine
     std::uint64_t sinceEvict = 0;
 
     // Scratch (avoids per-access allocation).
-    StoredBlock scratch;
     std::vector<std::vector<std::uint32_t>> byLevel; ///< stash positions
     std::vector<std::uint32_t> pool;
     std::vector<std::uint64_t> slotScratch;

@@ -171,63 +171,11 @@ ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
 }
 
 void
-ServerStorage::readSlot(std::uint64_t slot, StoredBlock &out) const
-{
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    if (sink)
-        sink(slot, false);
-    auto decode = [&](const std::uint8_t *rec) {
-        out.id = loadU64(rec);
-        out.leaf = loadU64(rec + 8);
-        out.payload.assign(rec + kHeaderBytes, rec + recBytes);
-    };
-    if (std::uint8_t *base = store->mappedBase()) {
-        const WallClock::time_point t0 = WallClock::now();
-        decode(plaintextRecord(slot, base + slot * recBytes));
-        store->noteMappedRead(1, elapsedNs(t0));
-        return;
-    }
-    staging.resize(recBytes);
-    store->readSlot(slot, staging.data());
-    if (enc.enabled())
-        enc.decryptSlot(slot, staging.data(), recBytes);
-    decode(staging.data());
-}
-
-void
-ServerStorage::writeSlot(std::uint64_t slot, BlockId id, Leaf leaf,
-                         const std::uint8_t *payload, std::size_t len)
-{
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    if (sink)
-        sink(slot, true);
-    SlotWriteOp op;
-    op.slot = slot;
-    op.id = id;
-    op.leaf = leaf;
-    op.payload = payload;
-    op.len = len;
-    if (std::uint8_t *base = store->mappedBase()) {
-        const WallClock::time_point t0 = WallClock::now();
-        encodeRecord(op, base + slot * recBytes);
-        store->noteMappedWrite(1, elapsedNs(t0));
-        return;
-    }
-    staging.resize(recBytes);
-    encodeRecord(op, staging.data());
-    store->writeSlot(slot, staging.data());
-}
-
-void
-ServerStorage::writeDummy(std::uint64_t slot)
-{
-    writeSlot(slot, kInvalidBlock, 0, nullptr, 0);
-}
-
-void
 ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
                          RecordSink &into) const
 {
+    if (n == 0)
+        return; // like SlotBackend: an empty vector is no backend op
     // One branch per *path* when no sink is installed — the audit tap
     // only costs per-slot work while a probe is actually attached.
     if (sink) {
@@ -296,6 +244,8 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
 void
 ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
 {
+    if (n == 0)
+        return;
     if (sink) {
         for (std::size_t i = 0; i < n; ++i)
             sink(ops[i].slot, true);

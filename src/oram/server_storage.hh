@@ -11,11 +11,11 @@
  * observer gains is *which slots* are touched — exactly the paper's
  * threat model.
  *
- * Path engines talk to storage through the *vectored* readSlots /
- * writeSlots calls — one per path (union) — so a backend can
- * coalesce, prefetch or issue one real I/O per path, and the
- * adversary access sink costs one branch per path instead of one per
- * slot when no sink is installed.
+ * Every caller talks to storage through the *vectored* readSlots /
+ * writeSlots calls — one per path (union); a single slot is a vector
+ * of one — so a backend can coalesce, prefetch or issue one real I/O
+ * per path, and the adversary access sink costs one branch per path
+ * instead of one per slot when no sink is installed.
  *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
@@ -73,16 +73,6 @@ class ServerStorage
     std::uint64_t payloadBytes() const { return payBytes; }
     std::uint64_t recordBytes() const { return recBytes; }
     const TreeGeometry &geometry() const { return geom; }
-
-    /** Read slot @p slot into @p out (reuses out.payload capacity). */
-    void readSlot(std::uint64_t slot, StoredBlock &out) const;
-
-    /** Write a real block into @p slot. */
-    void writeSlot(std::uint64_t slot, BlockId id, Leaf leaf,
-                   const std::uint8_t *payload, std::size_t len);
-
-    /** Overwrite @p slot with an (encrypted) dummy record. */
-    void writeDummy(std::uint64_t slot);
 
     /** One slot of a vectored write (id == kInvalidBlock => dummy). */
     struct SlotWriteOp

@@ -4,8 +4,9 @@
  *
  * One contiguous heap array, exactly the pre-subsystem ServerStorage
  * layout. Addressable (mappedBase()), so ServerStorage keeps its
- * zero-copy encode/decode hot path; the staged do* overrides exist
- * for conformance testing and as the reference implementation.
+ * zero-copy encode/decode hot path, and staged readSlots/writeSlots
+ * (a remote node's inner store, conformance tests) copy through the
+ * base pointer.
  */
 
 #ifndef LAORAM_STORAGE_DRAM_BACKEND_HH
@@ -26,11 +27,6 @@ class DramBackend final : public SlotBackend
     std::uint8_t *mappedBase() override { return raw.data(); }
 
     std::uint64_t residentBytes() const override { return raw.size(); }
-
-  protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
 
   private:
     std::vector<std::uint8_t> raw;

@@ -139,18 +139,6 @@ MmapFileBackend::~MmapFileBackend()
 }
 
 void
-MmapFileBackend::doReadSlot(std::uint64_t slot, std::uint8_t *dst)
-{
-    std::memcpy(dst, slotBase + slot * recBytes, recBytes);
-}
-
-void
-MmapFileBackend::doWriteSlot(std::uint64_t slot, const std::uint8_t *src)
-{
-    std::memcpy(slotBase + slot * recBytes, src, recBytes);
-}
-
-void
 MmapFileBackend::doFlush()
 {
     switch (durability) {

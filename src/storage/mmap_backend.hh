@@ -66,9 +66,6 @@ class MmapFileBackend final : public SlotBackend
     std::uint64_t fileBytes() const { return totalBytes; }
 
   protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
     void doFlush() override;
 
   private:

@@ -256,9 +256,6 @@ class RemoteKvBackend final : public SlotBackend
     const RemoteKvServer *selfHostedServer() const { return server.get(); }
 
   protected:
-    void doReadSlot(std::uint64_t slot, std::uint8_t *dst) override;
-    void doWriteSlot(std::uint64_t slot,
-                     const std::uint8_t *src) override;
     void doReadSlots(const std::uint64_t *slots, std::size_t n,
                      std::uint8_t *dst) override;
     void doWriteSlots(const std::uint64_t *slots, std::size_t n,

@@ -1,5 +1,7 @@
 #include "storage/slot_backend.hh"
 
+#include <cstring>
+
 #include "obs/trace.hh"
 #include "storage/dram_backend.hh"
 #include "storage/mmap_backend.hh"
@@ -97,21 +99,11 @@ SlotBackend::countWrite(std::uint64_t slotCount, std::int64_t ns)
 }
 
 void
-SlotBackend::readSlot(std::uint64_t slot, std::uint8_t *dst)
+SlotBackend::checkSlots(const std::uint64_t *slots, std::size_t n) const
 {
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    const WallClock::time_point t0 = WallClock::now();
-    doReadSlot(slot, dst);
-    countRead(1, elapsedNs(t0));
-}
-
-void
-SlotBackend::writeSlot(std::uint64_t slot, const std::uint8_t *src)
-{
-    LAORAM_ASSERT(slot < nSlots, "slot ", slot, " out of range");
-    const WallClock::time_point t0 = WallClock::now();
-    doWriteSlot(slot, src);
-    countWrite(1, elapsedNs(t0));
+    for (std::size_t i = 0; i < n; ++i)
+        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
+                      " out of range");
 }
 
 void
@@ -120,6 +112,7 @@ SlotBackend::readSlots(const std::uint64_t *slots, std::size_t n,
 {
     if (n == 0)
         return;
+    checkSlots(slots, n);
     const WallClock::time_point t0 = WallClock::now();
     doReadSlots(slots, n, dst);
     const std::int64_t ns = elapsedNs(t0);
@@ -133,6 +126,7 @@ SlotBackend::writeSlots(const std::uint64_t *slots, std::size_t n,
 {
     if (n == 0)
         return;
+    checkSlots(slots, n);
     const WallClock::time_point t0 = WallClock::now();
     doWriteSlots(slots, n, src);
     const std::int64_t ns = elapsedNs(t0);
@@ -169,22 +163,24 @@ void
 SlotBackend::doReadSlots(const std::uint64_t *slots, std::size_t n,
                          std::uint8_t *dst)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
-        doReadSlot(slots[i], dst + i * recBytes);
-    }
+    const std::uint8_t *base = mappedBase();
+    LAORAM_ASSERT(base, "staged backend ", kindName,
+                  " must override doReadSlots");
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(dst + i * recBytes, base + slots[i] * recBytes,
+                    recBytes);
 }
 
 void
 SlotBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
                           const std::uint8_t *src)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
-                      " out of range");
-        doWriteSlot(slots[i], src + i * recBytes);
-    }
+    std::uint8_t *base = mappedBase();
+    LAORAM_ASSERT(base, "staged backend ", kindName,
+                  " must override doWriteSlots");
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(base + slots[i] * recBytes, src + i * recBytes,
+                    recBytes);
 }
 
 std::unique_ptr<SlotBackend>

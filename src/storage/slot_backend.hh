@@ -18,6 +18,11 @@
  *    ORAM path), which is the natural shape for a remote KV or block
  *    device backend to coalesce or batch.
  *
+ * readSlots/writeSlots are the only transfer shape; a single slot is
+ * a vector of one. An addressable backend overrides no transfer hook
+ * (the default copies through mappedBase()); a staged backend
+ * overrides exactly doReadSlots/doWriteSlots.
+ *
  * Every backend keeps an IoStats ledger (ops, slots, bytes, measured
  * nanoseconds) that the pipeline reports as the serving thread's
  * genuine I/O stall component, and that the metrics registry pulls as
@@ -234,17 +239,15 @@ class SlotBackend
     std::uint64_t recordBytes() const { return recBytes; }
 
     // ---- Staged I/O (timed + counted; used when mappedBase() is
-    // null, and by conformance tests to exercise any backend). ----
-
-    /** Copy one record out of / into the store. */
-    void readSlot(std::uint64_t slot, std::uint8_t *dst);
-    void writeSlot(std::uint64_t slot, const std::uint8_t *src);
+    // null, by a remote node's inner store, and by conformance tests
+    // to exercise any backend). ----
 
     /**
      * Vectored path operations: @p dst / @p src hold n records
      * back-to-back, record i belonging to slots[i]. One call covers
      * one whole ORAM path (or path union), so a backend can coalesce
-     * adjacent slots, prefetch, or issue one real I/O per path.
+     * adjacent slots, prefetch, or issue one real I/O per path. Every
+     * slot is range-checked here, before the backend's hook runs.
      */
     void readSlots(const std::uint64_t *slots, std::size_t n,
                    std::uint8_t *dst);
@@ -329,12 +332,11 @@ class SlotBackend
     IoStats ioStats() const { return stats; }
 
   protected:
-    /** Single-record transfer; @p slot is already range-checked. */
-    virtual void doReadSlot(std::uint64_t slot, std::uint8_t *dst) = 0;
-    virtual void doWriteSlot(std::uint64_t slot,
-                             const std::uint8_t *src) = 0;
-
-    /** Vectored transfers; default loops the single-slot ops. */
+    /**
+     * Vectored transfers; every slot is already range-checked. The
+     * default copies through mappedBase(), so a staged backend must
+     * override both.
+     */
     virtual void doReadSlots(const std::uint64_t *slots, std::size_t n,
                              std::uint8_t *dst);
     virtual void doWriteSlots(const std::uint64_t *slots, std::size_t n,
@@ -346,6 +348,8 @@ class SlotBackend
     std::uint64_t recBytes;
 
   private:
+    /** Fatal unless every one of @p n slots is in range. */
+    void checkSlots(const std::uint64_t *slots, std::size_t n) const;
     void countRead(std::uint64_t slotCount, std::int64_t ns);
     void countWrite(std::uint64_t slotCount, std::int64_t ns);
 

@@ -33,8 +33,10 @@ TEST(CostModel, MonotoneInBlocks)
 TEST(CostModel, DummyIsReadPlusWrite)
 {
     CostModel m;
-    EXPECT_DOUBLE_EQ(m.dummyAccessNs(2048, 16),
+    EXPECT_DOUBLE_EQ(m.dummyAccessNs(2048, 16, 2048, 16),
                      m.pathReadNs(2048, 16) + m.pathWriteNs(2048, 16));
+    EXPECT_DOUBLE_EQ(m.dummyAccessNs(256, 2, 2048, 16),
+                     m.pathReadNs(256, 2) + m.pathWriteNs(2048, 16));
 }
 
 TEST(CostModel, ReadIncludesLinkRoundTrip)

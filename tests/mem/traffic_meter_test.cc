@@ -53,18 +53,24 @@ TEST(TrafficMeter, PathReadAccounting)
 TEST(TrafficMeter, DummyAccountsBothDirections)
 {
     TrafficMeter m{CostModel{}};
-    m.recordDummyAccess(100, 4);
+    m.recordDummyAccess(100, 4, 100, 4);
     EXPECT_EQ(m.counters().dummyReads, 1u);
     EXPECT_EQ(m.counters().bytesRead, 100u);
     EXPECT_EQ(m.counters().bytesWritten, 100u);
     EXPECT_EQ(m.counters().totalBytes(), 200u);
+    // Read and write sizes are charged separately.
+    m.recordDummyAccess(25, 1, 100, 4);
+    EXPECT_EQ(m.counters().blocksRead, 5u);
+    EXPECT_EQ(m.counters().blocksWritten, 8u);
+    EXPECT_EQ(m.counters().bytesRead, 125u);
+    EXPECT_EQ(m.counters().bytesWritten, 200u);
 }
 
 TEST(TrafficMeter, PerAccessRatios)
 {
     TrafficMeter m{CostModel{}};
     m.recordLogicalAccesses(4);
-    m.recordDummyAccess(10, 1);
+    m.recordDummyAccess(10, 1, 10, 1);
     m.recordPathReads(1, 10, 1);
     EXPECT_DOUBLE_EQ(m.counters().dummyReadsPerAccess(), 0.25);
     EXPECT_DOUBLE_EQ(m.counters().pathReadsPerAccess(), 0.25);
@@ -133,7 +139,7 @@ TEST(TrafficMeter, LiveMetricsPullTheLedger)
     {
         TrafficMeter m{CostModel{}};
         m.recordPathReads(2, 100, 2);
-        m.recordDummyAccess(100, 2);
+        m.recordDummyAccess(100, 2, 100, 2);
         EXPECT_EQ(sampled("oram.path_reads") - reads, 2.0);
         EXPECT_EQ(sampled("oram.dummy_reads") - dummies, 1.0);
         EXPECT_EQ(sampled("oram.bytes_read") - bytes, 200.0);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/slot_io.hh"
 #include "../integration/engine_snapshot.hh"
 #include "core/pipeline.hh"
 #include "flaky_proxy.hh"
@@ -88,13 +89,13 @@ TEST(FlakyProxy, ReconnectPreservesReadYourWrites)
                            kRecBytes, 0);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
         const auto rec = record(static_cast<std::uint8_t>(slot));
-        client.writeSlot(slot, rec.data());
+        slotio::write(client, slot, rec.data());
     }
     // Reads pipeline behind the replayed writes: every one must
     // observe its write even though the link died mid-window.
     std::vector<std::uint8_t> out(kRecBytes);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.readSlot(slot, out.data());
+        slotio::read(client, slot, out.data());
         EXPECT_EQ(out, record(static_cast<std::uint8_t>(slot)))
             << "slot " << slot;
     }
@@ -116,11 +117,11 @@ TEST(FlakyProxy, ReplayedWriteIsDiscardedNotAppliedTwice)
     RemoteKvBackend client(dialConfig(proxy.endpoint()), kSlots,
                            kRecBytes, 0);
     const auto rec = record(0x21);
-    client.writeSlot(9, rec.data());
+    slotio::write(client, 9, rec.data());
     client.flush(); // forces the replay + ack round-trip to finish
 
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(9, out.data());
+    slotio::read(client, 9, out.data());
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -143,11 +144,11 @@ TEST(FlakyProxy, BlackHoledRequestTimesOutAndRecovers)
                                       /*timeoutMs=*/150),
                            kSlots, kRecBytes, 0);
     const auto rec = record(0x44);
-    client.writeSlot(3, rec.data());
+    slotio::write(client, 3, rec.data());
     client.flush(); // request #3: swallowed, times out, replays
 
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(3, out.data());
+    slotio::read(client, 3, out.data());
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -163,9 +164,9 @@ TEST(FlakyProxy, TruncatedResponseIsLostNotDecoded)
     RemoteKvBackend client(dialConfig(proxy.endpoint()), kSlots,
                            kRecBytes, 0);
     const auto rec = record(0x66);
-    client.writeSlot(5, rec.data());
+    slotio::write(client, 5, rec.data());
     std::vector<std::uint8_t> out(kRecBytes, 0);
-    client.readSlot(5, out.data()); // its response arrives cut in half
+    slotio::read(client, 5, out.data()); // its response arrives cut in half
     EXPECT_EQ(out, rec);
     EXPECT_EQ(proxy.faultsFired(), 1u);
     EXPECT_GE(proxy.connectionsServed(), 2u);
@@ -190,14 +191,14 @@ TEST(FlakyProxyDeath, RetriesExhaustedFailFatally)
             scfg.remote.backoffBaseMs = 1;
             RemoteKvBackend client(scfg, kSlots, kRecBytes, 0);
             const auto rec = record(0x10);
-            client.writeSlot(0, rec.data());
+            slotio::write(client, 0, rec.data());
             client.flush(); // healthy so far
 
             proxy.reset();      // listener gone: redials are refused
             server->shutdown(); // and so is the node
 
             std::vector<std::uint8_t> out(kRecBytes);
-            client.readSlot(0, out.data()); // must fatal, not hang
+            slotio::read(client, 0, out.data()); // must fatal, not hang
         },
         ::testing::ExitedWithCode(1), "remote-KV connection lost");
 }

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "../common/slot_io.hh"
 #include "../common/temp_dir.hh"
 #include "net/node_server.hh"
 #include "storage/remote_backend.hh"
@@ -93,8 +94,8 @@ TEST(NodeListener, ServesManyConcurrentClients)
                 const std::uint64_t slot = c * kPerClient + i;
                 for (std::size_t b = 0; b < rec.size(); ++b)
                     rec[b] = static_cast<std::uint8_t>(slot * 3 + b);
-                client.writeSlot(slot, rec.data());
-                client.readSlot(slot, out.data());
+                slotio::write(client, slot, rec.data());
+                slotio::read(client, slot, out.data());
                 good = good && out == rec;
             }
             client.flush();
@@ -129,7 +130,7 @@ TEST(NodeListener, ReclaimsStaleUdsSocketFile)
     RemoteKvBackend client(dialConfig("unix:" + sock), kSlots,
                            kRecBytes, 0);
     std::vector<std::uint8_t> rec(kRecBytes, 0x5A);
-    client.writeSlot(0, rec.data());
+    slotio::write(client, 0, rec.data());
     client.flush();
     EXPECT_EQ(server->inner().ioStats().slotsWritten, 1u);
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 
+#include "../common/slot_io.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -120,7 +121,7 @@ TEST_F(BatchedFixture, OverlappingWriteBackLosesNothing)
     std::uint64_t in_tree = 0;
     StoredBlock b;
     for (std::uint64_t s = 0; s < geom.bucketSize(0); ++s) {
-        storage.readSlot(geom.nodeSlotBase(0) + s, b);
+        slotio::read(storage, geom.nodeSlotBase(0) + s, b);
         in_tree += !b.isDummy();
     }
     EXPECT_EQ(in_tree + stash.size(), 2u);
@@ -149,7 +150,7 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
                 const auto base = geom.nodeSlotBase(n);
                 const auto z = geom.bucketSize(geom.nodeLevel(n));
                 for (std::uint64_t s = 0; s < z; ++s) {
-                    storage.readSlot(base + s, b);
+                    slotio::read(storage, base + s, b);
                     if (!b.isDummy() && b.id == id)
                         in_tree = true;
                 }
@@ -180,7 +181,7 @@ TEST_F(BatchedFixture, RandomBatchesPreserveEveryBlock)
         const auto base = geom.nodeSlotBase(n);
         const auto z = geom.bucketSize(geom.nodeLevel(n));
         for (std::uint64_t s = 0; s < z; ++s) {
-            storage.readSlot(base + s, b);
+            slotio::read(storage, base + s, b);
             if (!b.isDummy())
                 ++found[b.id];
         }
@@ -239,7 +240,7 @@ TEST_F(BatchedFixture, WriteBackPlacesAtDeepestUnionNode)
     const auto base = geom.nodeSlotBase(leaf_node);
     for (std::uint64_t s = 0;
          s < geom.bucketSize(geom.leafLevel()); ++s) {
-        storage.readSlot(base + s, b);
+        slotio::read(storage, base + s, b);
         at_leaf |= (!b.isDummy() && b.id == 11);
     }
     EXPECT_TRUE(at_leaf);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/slot_io.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -81,7 +82,7 @@ TEST_F(PathIoFixture, BlockOnOwnLeafGoesToLeafBucket)
     const std::uint64_t base = geom.nodeSlotBase(leaf_node);
     for (std::uint64_t s = 0; s < geom.bucketSize(geom.leafLevel());
          ++s) {
-        storage.readSlot(base + s, b);
+        slotio::read(storage, base + s, b);
         if (!b.isDummy() && b.id == 2)
             found = true;
     }
@@ -102,7 +103,7 @@ TEST_F(PathIoFixture, DivergentBlockStaysNearRoot)
     StoredBlock b;
     bool in_root = false;
     for (std::uint64_t s = 0; s < geom.bucketSize(0); ++s) {
-        storage.readSlot(geom.nodeSlotBase(0) + s, b);
+        slotio::read(storage, geom.nodeSlotBase(0) + s, b);
         if (!b.isDummy() && b.id == 3)
             in_root = true;
     }
@@ -217,8 +218,8 @@ TEST_F(PathIoFixture, AuditCatchesMisplacedBlock)
     const Leaf other = geom.numLeaves() - 1;
     const NodeIndex wrong = geom.pathNode(other, geom.leafLevel());
     auto payload = payloadFor(4);
-    storage.writeSlot(geom.nodeSlotBase(wrong), 4, 0, payload.data(),
-                      payload.size());
+    slotio::write(storage, geom.nodeSlotBase(wrong), 4, 0,
+                  payload.data(), payload.size());
     EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
 }
 
@@ -227,8 +228,8 @@ TEST_F(PathIoFixture, AuditCatchesStaleLeafField)
     posmap.set(6, 2);
     auto payload = payloadFor(6);
     // Stored leaf (7) disagrees with the position map (2).
-    storage.writeSlot(geom.nodeSlotBase(0), 6, 7, payload.data(),
-                      payload.size());
+    slotio::write(storage, geom.nodeSlotBase(0), 6, 7, payload.data(),
+                  payload.size());
     EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
 }
 
@@ -237,8 +238,8 @@ TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
     const Leaf leaf = 1;
     posmap.set(8, leaf);
     auto payload = payloadFor(8);
-    storage.writeSlot(geom.nodeSlotBase(0), 8, leaf, payload.data(),
-                      payload.size());
+    slotio::write(storage, geom.nodeSlotBase(0), 8, leaf,
+                  payload.data(), payload.size());
     stash.put(8, leaf, payloadFor(8));
     EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
 }

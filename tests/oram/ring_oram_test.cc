@@ -160,6 +160,39 @@ TEST(RingOram, WorksWithEncryption)
     EXPECT_EQ(out, data);
 }
 
+TEST(RingOram, ChargedReadsAreIssuedReadsPlusSparseDummies)
+{
+    // Low water marks so high-water evictions run often. Every slot
+    // the meter charges as read must be one the access sink saw read,
+    // except the sparse read's dummy slots, which are charged but
+    // never issued: levels per access, or levels - 1 when the block
+    // was found in the tree.
+    RingOramConfig cfg = ringConfig(1024, 0);
+    cfg.realZ = 2;
+    cfg.dummies = 2;
+    cfg.evictEvery = 8;
+    cfg.base.stashHighWater = 6;
+    cfg.base.stashLowWater = 2;
+    RingOram oram(cfg);
+    const std::uint64_t levels = oram.geometry().numLevels();
+
+    std::uint64_t issued = 0;
+    oram.storageForTest().setAccessSink(
+        [&](std::uint64_t, bool write) { issued += write ? 0 : 1; });
+    Rng rng(7);
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t charged = oram.meter().counters().blocksRead;
+        issued = 0;
+        oram.touch(rng.nextBounded(1024));
+        const std::uint64_t extra =
+            oram.meter().counters().blocksRead - charged - issued;
+        ASSERT_TRUE(extra == levels || extra == levels - 1)
+            << "access " << i << " charged " << extra
+            << " reads it never issued";
+    }
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+}
+
 TEST(RingOram, RejectsOversizedBuckets)
 {
     RingOramConfig cfg = ringConfig(16);

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "../common/slot_io.hh"
 #include "oram/server_storage.hh"
 
 namespace laoram::oram {
@@ -25,7 +26,7 @@ TEST(ServerStorage, StartsAllDummies)
     ServerStorage s(g, 32, false);
     StoredBlock b;
     for (std::uint64_t slot = 0; slot < s.slots(); slot += 17) {
-        s.readSlot(slot, b);
+        slotio::read(s, slot, b);
         EXPECT_TRUE(b.isDummy());
     }
 }
@@ -38,9 +39,9 @@ TEST(ServerStorage, WriteReadRoundTrip)
     for (std::size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<std::uint8_t>(i * 3);
 
-    s.writeSlot(10, 1234, 7, payload.data(), payload.size());
+    slotio::write(s, 10, 1234, 7, payload.data(), payload.size());
     StoredBlock b;
-    s.readSlot(10, b);
+    slotio::read(s, 10, b);
     EXPECT_EQ(b.id, 1234u);
     EXPECT_EQ(b.leaf, 7u);
     EXPECT_EQ(b.payload, payload);
@@ -52,9 +53,9 @@ TEST(ServerStorage, ShortPayloadZeroPadded)
     auto g = smallGeom();
     ServerStorage s(g, 16, false);
     std::vector<std::uint8_t> payload{1, 2, 3};
-    s.writeSlot(0, 5, 1, payload.data(), payload.size());
+    slotio::write(s, 0, 5, 1, payload.data(), payload.size());
     StoredBlock b;
-    s.readSlot(0, b);
+    slotio::read(s, 0, b);
     ASSERT_EQ(b.payload.size(), 16u);
     EXPECT_EQ(b.payload[0], 1);
     EXPECT_EQ(b.payload[2], 3);
@@ -67,10 +68,10 @@ TEST(ServerStorage, DummyOverwriteErases)
     auto g = smallGeom();
     ServerStorage s(g, 8, false);
     std::vector<std::uint8_t> payload(8, 0xAA);
-    s.writeSlot(3, 42, 9, payload.data(), payload.size());
-    s.writeDummy(3);
+    slotio::write(s, 3, 42, 9, payload.data(), payload.size());
+    slotio::writeDummy(s, 3);
     StoredBlock b;
-    s.readSlot(3, b);
+    slotio::read(s, 3, b);
     EXPECT_TRUE(b.isDummy());
 }
 
@@ -80,9 +81,9 @@ TEST(ServerStorage, ZeroPayloadMode)
     ServerStorage s(g, 0, false);
     EXPECT_EQ(s.payloadBytes(), 0u);
     EXPECT_EQ(s.recordBytes(), 16u);
-    s.writeSlot(1, 77, 3, nullptr, 0);
+    slotio::write(s, 1, 77, 3, nullptr, 0);
     StoredBlock b;
-    s.readSlot(1, b);
+    slotio::read(s, 1, b);
     EXPECT_EQ(b.id, 77u);
     EXPECT_EQ(b.leaf, 3u);
     EXPECT_TRUE(b.payload.empty());
@@ -93,14 +94,14 @@ TEST(ServerStorage, EncryptedRoundTrip)
     auto g = smallGeom();
     ServerStorage s(g, 32, true, /*keySeed=*/99);
     std::vector<std::uint8_t> payload(32, 0x5C);
-    s.writeSlot(20, 8, 2, payload.data(), payload.size());
+    slotio::write(s, 20, 8, 2, payload.data(), payload.size());
     StoredBlock b;
-    s.readSlot(20, b);
+    slotio::read(s, 20, b);
     EXPECT_EQ(b.id, 8u);
     EXPECT_EQ(b.leaf, 2u);
     EXPECT_EQ(b.payload, payload);
     // Re-read works (epoch unchanged between writes).
-    s.readSlot(20, b);
+    slotio::read(s, 20, b);
     EXPECT_EQ(b.id, 8u);
 }
 
@@ -109,10 +110,10 @@ TEST(ServerStorage, EncryptedRewriteStillReads)
     auto g = smallGeom();
     ServerStorage s(g, 16, true, 3);
     std::vector<std::uint8_t> p1(16, 1), p2(16, 2);
-    s.writeSlot(4, 10, 0, p1.data(), p1.size());
-    s.writeSlot(4, 11, 1, p2.data(), p2.size());
+    slotio::write(s, 4, 10, 0, p1.data(), p1.size());
+    slotio::write(s, 4, 11, 1, p2.data(), p2.size());
     StoredBlock b;
-    s.readSlot(4, b);
+    slotio::read(s, 4, b);
     EXPECT_EQ(b.id, 11u);
     EXPECT_EQ(b.payload, p2);
 }
@@ -123,7 +124,7 @@ TEST(ServerStorage, EncryptedDummiesDecryptCleanly)
     ServerStorage s(g, 8, true, 5);
     StoredBlock b;
     for (std::uint64_t slot = 0; slot < s.slots(); slot += 29) {
-        s.readSlot(slot, b);
+        slotio::read(s, slot, b);
         EXPECT_TRUE(b.isDummy());
     }
 }
@@ -144,9 +145,9 @@ TEST(ServerStorage, AccessSinkSeesReadsAndWrites)
         log.emplace_back(slot, write);
     });
     StoredBlock b;
-    s.readSlot(7, b);
-    s.writeSlot(9, 1, 0, nullptr, 0);
-    s.writeDummy(11);
+    slotio::read(s, 7, b);
+    slotio::write(s, 9, 1, 0, nullptr, 0);
+    slotio::writeDummy(s, 11);
     ASSERT_EQ(log.size(), 3u);
     EXPECT_EQ(log[0], std::make_pair(std::uint64_t{7}, false));
     EXPECT_EQ(log[1], std::make_pair(std::uint64_t{9}, true));

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/slot_io.hh"
 #include "../common/temp_dir.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
@@ -85,7 +86,7 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
 
     const auto rec = pattern(0x42);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.writeSlot(slot, rec.data());
+        slotio::write(client, slot, rec.data());
         EXPECT_LE(client.inFlightWrites(), cfg.windowDepth);
     }
     EXPECT_GE(client.inFlightWrites(), 1u);
@@ -96,7 +97,7 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
     // Every write is visible after the flush barrier.
     std::vector<std::uint8_t> out(kRecBytes);
     for (std::uint64_t slot = 0; slot < 10; ++slot) {
-        client.readSlot(slot, out.data());
+        slotio::read(client, slot, out.data());
         EXPECT_EQ(out, rec) << "slot " << slot;
     }
 }
@@ -119,7 +120,7 @@ TEST(RemoteBackend, ReadObservesAllPendingWrites)
         client.writeSlots(&slot, 1, rec.data());
     }
     std::vector<std::uint8_t> out(kRecBytes);
-    client.readSlot(7, out.data());
+    slotio::read(client, 7, out.data());
     EXPECT_EQ(out, pattern(4));
 }
 
@@ -154,7 +155,7 @@ expectDroppedWithoutReply(RemoteKvServer &server, int fd,
     RemoteKvBackend ok(server.connectClient(), kSlots, kRecBytes,
                        RemoteKvConfig{});
     const auto rec = pattern(0x05);
-    ok.writeSlot(0, rec.data());
+    slotio::write(ok, 0, rec.data());
     ok.flush();
 }
 
@@ -202,7 +203,7 @@ TEST(RemoteBackend, HandshakeRejectsGeometryMismatch)
     RemoteKvBackend ok(server->connectClient(), kSlots, kRecBytes,
                        RemoteKvConfig{});
     const auto rec = pattern(0x01);
-    ok.writeSlot(0, rec.data());
+    slotio::write(ok, 0, rec.data());
     ok.flush();
 }
 
@@ -293,12 +294,12 @@ TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
             std::vector<std::uint8_t> payload(kPayload);
             for (auto &b : payload)
                 b = static_cast<std::uint8_t>(rng.nextBounded(256));
-            s.writeSlot(slot, rng.nextBounded(1 << 20),
-                        rng.nextBounded(64), payload.data(),
-                        payload.size());
+            slotio::write(s, slot, rng.nextBounded(1 << 20),
+                          rng.nextBounded(64), payload.data(),
+                          payload.size());
         }
         for (std::uint64_t slot = 0; slot < s.slots(); ++slot)
-            s.readSlot(slot, expect[slot]);
+            slotio::read(s, slot, expect[slot]);
         s.flush();
     } // epochs persisted over WriteMeta, node torn down
 
@@ -307,7 +308,7 @@ TEST(RemoteBackend, PersistentNodeReopensByteIdentically)
     EXPECT_TRUE(s.reopened());
     oram::StoredBlock b;
     for (std::uint64_t slot = 0; slot < s.slots(); ++slot) {
-        s.readSlot(slot, b);
+        slotio::read(s, slot, b);
         EXPECT_EQ(b.id, expect[slot].id) << "slot " << slot;
         EXPECT_EQ(b.leaf, expect[slot].leaf) << "slot " << slot;
         EXPECT_EQ(b.payload, expect[slot].payload) << "slot " << slot;
@@ -381,13 +382,13 @@ TEST(RemoteServerLoss, KillServerMidTraceFailsFastNotHangs)
             RemoteKvBackend client(server->connectClient(), kSlots,
                                    kRecBytes, RemoteKvConfig{});
             const auto rec = pattern(0x33);
-            client.writeSlot(1, rec.data());
+            slotio::write(client, 1, rec.data());
             client.flush(); // healthy so far
 
             server->shutdown(); // the node dies mid-trace
 
             std::vector<std::uint8_t> out(kRecBytes);
-            client.readSlot(1, out.data()); // must fatal, not hang
+            slotio::read(client, 1, out.data()); // must fatal, not hang
         },
         ::testing::ExitedWithCode(1), "remote-KV connection lost");
 }
