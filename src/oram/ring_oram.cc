@@ -207,7 +207,7 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
     writeScratch.clear();
     evictedScratch.clear();
     for (unsigned level = geom.numLevels(); level-- > 0;) {
-        pool.insert(pool.end(), byLevel[level].begin(),
+        pool.insert(pool.begin(), byLevel[level].begin(),
                     byLevel[level].end());
 
         const NodeIndex node = geom.pathNode(leaf, level);

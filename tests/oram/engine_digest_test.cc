@@ -331,7 +331,7 @@ TEST(EngineDigest, RingOram)
     EXPECT_GT(engine.meter().counters().reshuffles, 0u);
     EXPECT_EQ(engine.meter().counters().dummyReads, 0u);
     EXPECT_EQ(engine.auditRing(), "");
-    expectPinned(got, 0x837434afdf835fe9ull, 0x51afa48dc7bf1b49ull,
+    expectPinned(got, 0xd8fc244e9b99ab72ull, 0x5376cb5a1f64081aull,
                  0xc19d7d62107116a5ull);
 }
 
