@@ -157,12 +157,16 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     std::uint64_t nBlocks = *blocks;
     std::uint64_t nBatches = *batches;
+    // Built with push_back: assigning a braced list here makes gcc 12
+    // (Release) warn -Wnonnull inside std::copy.
     if (*smoke) {
         nBlocks = 1 << 10;
         nBatches = 12;
-        cells = {{4, 2}};
+        cells.push_back({4, 2});
     } else {
-        cells = {{1, 2}, {4, 2}, {8, 2}, {4, 4}, {8, 4}};
+        for (const Cell &cell : {Cell{1, 2}, Cell{4, 2}, Cell{8, 2},
+                                 Cell{4, 4}, Cell{8, 4}})
+            cells.push_back(cell);
     }
 
     bench::printHeader(

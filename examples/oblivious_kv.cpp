@@ -24,6 +24,7 @@
 #include "serve/serve.hh"
 #include "storage/storage_cli.hh"
 #include "util/cli.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 using namespace laoram;
@@ -104,6 +105,11 @@ main(int argc, char **argv)
     cfg.seed = 1337;
     cfg.storage =
         storage::storageConfigFromArgs(storageArgs, &cfg.checkpoint);
+    if (*ring && !cfg.checkpoint.path.empty()) {
+        LAORAM_FATAL("--ring cannot be combined with --checkpoint-path: "
+                     "RingORAM has no checkpoint/restore support for "
+                     "its trusted client state");
+    }
 
     std::unique_ptr<oram::OramEngine> engine;
     if (*ring) {

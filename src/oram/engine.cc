@@ -178,7 +178,19 @@ checkField(const char *name, std::uint64_t want, std::uint64_t got)
 } // namespace
 
 void
-OramEngine::saveClientState(serde::Serializer &s) const
+OramEngine::saveClientState(serde::Serializer &) const
+{
+    throw serde::SnapshotError(name() + " has no checkpoint support");
+}
+
+void
+OramEngine::restoreClientState(serde::Deserializer &)
+{
+    throw serde::SnapshotError(name() + " has no checkpoint support");
+}
+
+void
+TreeOramBase::saveClientState(serde::Serializer &s) const
 {
     // Geometry header first: restore validates every field before
     // touching any state.
@@ -193,10 +205,12 @@ OramEngine::saveClientState(serde::Serializer &s) const
     saveCounters(s, mtr.counters());
     s.u64(mtr.clock().picoseconds());
     rng.save(s);
+    posmap_.save(s);
+    stash_.save(s);
 }
 
 void
-OramEngine::restoreClientState(serde::Deserializer &d)
+TreeOramBase::restoreClientState(serde::Deserializer &d)
 {
     checkField("numBlocks", cfg.numBlocks, d.u64());
     checkField("blockBytes", cfg.blockBytes, d.u64());
@@ -210,6 +224,8 @@ OramEngine::restoreClientState(serde::Deserializer &d)
     const std::uint64_t clockPs = d.u64();
     mtr.restoreState(counters, clockPs);
     rng.restore(d);
+    posmap_.restore(d);
+    stash_.restore(d);
 }
 
 std::vector<std::uint8_t>
@@ -253,22 +269,6 @@ TreeOramBase::restoreAtConstructionIfConfigured()
 {
     if (cfg.checkpoint.restore && !cfg.checkpoint.path.empty())
         restoreFromFile(cfg.checkpoint.path);
-}
-
-void
-TreeOramBase::saveClientState(serde::Serializer &s) const
-{
-    OramEngine::saveClientState(s);
-    posmap_.save(s);
-    stash_.save(s);
-}
-
-void
-TreeOramBase::restoreClientState(serde::Deserializer &d)
-{
-    OramEngine::restoreClientState(d);
-    posmap_.restore(d);
-    stash_.restore(d);
 }
 
 void

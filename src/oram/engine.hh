@@ -127,12 +127,11 @@ class OramEngine
     const EngineConfig &config() const { return cfg; }
 
     /**
-     * Serialize all trusted client state (geometry header, meter,
-     * RNG; subclasses append position map, stash, their own
-     * counters). Call only at a quiescent point — for pipelined runs
-     * that means a window boundary, where the serving thread owns
-     * every piece of engine state (see PipelineConfig's
-     * window-boundary hook).
+     * Serialize all trusted client state (TreeOramBase; the default
+     * throws serde::SnapshotError naming the engine). Call only at a
+     * quiescent point — for pipelined runs that means a window
+     * boundary, where the serving thread owns every piece of engine
+     * state (see PipelineConfig's window-boundary hook).
      */
     virtual void saveClientState(serde::Serializer &s) const;
 
@@ -220,7 +219,7 @@ class TreeOramBase : public OramEngine
     /** Mutable storage access for installing test access sinks. */
     ServerStorage &storageForTest() { return storage_; }
 
-    /** Adds position map + stash to the base engine sections. */
+    /** Geometry header, meter, RNG, position map and stash. */
     void saveClientState(serde::Serializer &s) const override;
     void restoreClientState(serde::Deserializer &d) override;
 

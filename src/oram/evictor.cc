@@ -4,14 +4,17 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "util/logging.hh"
-
 namespace laoram::oram {
 
 PathIo::PathIo(const TreeGeometry &geom, ServerStorage &storage,
-               Stash &stash, mem::TrafficMeter &meter)
-    : geom(geom), storage(storage), stash(stash), meter(meter)
+               Stash &stash, mem::TrafficMeter &meter,
+               std::uint64_t reserve)
+    : geom(geom), storage(storage), stash(stash), meter(meter),
+      reserve(reserve)
 {
+    for (unsigned level = 0; level < geom.numLevels(); ++level)
+        LAORAM_ASSERT(reserve < geom.bucketSize(level), "reserve ",
+                      reserve, " leaves no real slot at level ", level);
 }
 
 void
@@ -41,11 +44,17 @@ PathIo::readPaths(const Leaf *leaves, std::size_t k)
 std::uint64_t
 PathIo::writePaths(const Leaf *leaves, std::size_t k)
 {
-    buildUnion(leaves, k);
-    const std::uint64_t blocks = evictUnion();
+    const std::uint64_t blocks = writeBack(leaves, k);
     const std::uint64_t slots = writeScratch.size();
     meter.recordPathWrites(k, slots * geom.blockBytes(), slots);
     return blocks;
+}
+
+std::uint64_t
+PathIo::writeBack(const Leaf *leaves, std::size_t k)
+{
+    buildUnion(leaves, k);
+    return evictUnion();
 }
 
 void
@@ -57,29 +66,6 @@ PathIo::dummyAccess(Leaf leaf)
     const std::uint64_t slots = slotScratch.size();
     const std::uint64_t bytes = slots * geom.blockBytes();
     meter.recordDummyAccess(bytes, slots, bytes, slots);
-}
-
-void
-PathIo::drainStash(std::uint64_t highWater, std::uint64_t lowWater,
-                   Rng &rng)
-{
-    if (stash.size() <= highWater)
-        return;
-
-    // Capacity trumps retention: prefetch pins are dropped before the
-    // client starts paying for dummy accesses.
-    stash.unpinAll();
-
-    std::uint64_t issued = 0;
-    while (stash.size() > lowWater && issued < kMaxDummiesPerBurst) {
-        dummyAccess(rng.nextBounded(geom.numLeaves()));
-        ++issued;
-    }
-    if (issued == kMaxDummiesPerBurst) {
-        warn("background eviction could not drain stash below ",
-             lowWater, " (still ", stash.size(), " blocks) after ",
-             issued, " dummy accesses");
-    }
 }
 
 void
@@ -119,6 +105,14 @@ PathIo::buildUnion(const Leaf *leaves, std::size_t k)
 }
 
 std::uint64_t
+PathIo::fetchSlots(const std::uint64_t *slots, std::size_t n)
+{
+    absorbed = 0;
+    storage.readSlots(slots, n, *this);
+    return absorbed;
+}
+
+std::uint64_t
 PathIo::fetchUnion()
 {
     slotScratch.clear();
@@ -128,9 +122,7 @@ PathIo::fetchUnion()
         for (std::uint64_t s = 0; s < z; ++s)
             slotScratch.push_back(base + s);
     }
-    absorbed = 0;
-    storage.readSlots(slotScratch.data(), slotScratch.size(), *this);
-    return absorbed;
+    return fetchSlots(slotScratch.data(), slotScratch.size());
 }
 
 std::uint64_t
@@ -170,9 +162,9 @@ PathIo::evictUnion()
     }
 
     // Deepest-first fill as one vectored storage op: real blocks
-    // reference their stash payloads in place, untaken slots become
-    // dummies. The stash entries are erased only after the write, so
-    // every payload pointer stays valid for it.
+    // reference their stash payloads in place, untaken and reserved
+    // slots become dummies. The stash entries are erased only after
+    // the write, so every payload pointer stays valid for it.
     writeScratch.clear();
     evicted.clear();
     for (std::size_t u = 0; u < unionNodes.size(); ++u) {
@@ -180,8 +172,9 @@ PathIo::evictUnion()
         const unsigned level = geom.nodeLevel(unionNodes[u]);
         const std::uint64_t base = geom.nodeSlotBase(unionNodes[u]);
         const std::uint64_t z = geom.bucketSize(level);
+        const std::uint64_t cap = z - reserve;
         std::uint64_t filled = 0;
-        for (; filled < z && !candidates.empty(); ++filled) {
+        for (; filled < cap && !candidates.empty(); ++filled) {
             const std::uint32_t pos = candidates.back();
             candidates.pop_back();
             const StashSlot &slot = stash.at(pos);

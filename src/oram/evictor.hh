@@ -7,7 +7,9 @@
  * steps 2 and 5). A single path is the union of one. On top of it
  * sit the one access step (read, touch the members, write back) and
  * the one capped background-eviction drain (§II-E) that PathORAM,
- * PrORAM, LAORAM and recursive PathORAM all serve through.
+ * PrORAM, LAORAM and recursive PathORAM all serve through. RingORAM
+ * fetches its valid slots and refills its EvictPath through the same
+ * write-back, with S slots per bucket reserved for dummies.
  *
  * Also hosts the tree auditor used by tests to verify the core
  * PathORAM invariant: every initialised real block lies either in the
@@ -27,6 +29,7 @@
 #include "oram/stash.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace laoram::oram {
@@ -48,8 +51,9 @@ namespace laoram::oram {
 class PathIo : private ServerStorage::RecordSink
 {
   public:
+    /** The write-back keeps @p reserve slots per bucket dummy. */
     PathIo(const TreeGeometry &geom, ServerStorage &storage, Stash &stash,
-           mem::TrafficMeter &meter);
+           mem::TrafficMeter &meter, std::uint64_t reserve = 0);
 
     /**
      * Read the union of @p k (>= 1) paths into the stash — a LAORAM
@@ -70,11 +74,28 @@ class PathIo : private ServerStorage::RecordSink
      * children's spill-over. Blocks that do not fit spill to the
      * parent (which is always in the union, since path unions are
      * ancestor-closed) and ultimately stay in the stash. Untaken
-     * slots are overwritten with encrypted dummies.
+     * slots, and the last reserve slots of each bucket, are
+     * overwritten with encrypted dummies.
      *
      * @return number of real blocks written back
      */
     std::uint64_t writePaths(const Leaf *leaves, std::size_t k);
+
+    /**
+     * Uncharged: read slots @p slots[0..n) into the stash (one
+     * vectored op). @return number of real blocks absorbed
+     */
+    std::uint64_t fetchSlots(const std::uint64_t *slots, std::size_t n);
+
+    /** Uncharged writePaths(). */
+    std::uint64_t writeBack(const Leaf *leaves, std::size_t k);
+
+    /**
+     * The last write-back's slot writes in issue order; their payload
+     * pointers dangle (the entries left the stash).
+     */
+    const std::vector<ServerStorage::SlotWriteOp> &
+    lastWrite() const { return writeScratch; }
 
     /**
      * One background-eviction dummy access (§II-E): read @p leaf's
@@ -107,13 +128,39 @@ class PathIo : private ServerStorage::RecordSink
 
     /**
      * Background eviction (§II-E): once the stash holds more than
-     * @p highWater blocks, drop every prefetch pin and issue dummy
-     * accesses on uniform leaves drawn from @p rng until it is down
-     * to @p lowWater — at most kMaxDummiesPerBurst per call, with a
-     * warning when the cap stops the drain.
+     * @p highWater blocks, drop every prefetch pin and call
+     * @p evictOne (one dummy eviction) until it is down to
+     * @p lowWater — at most kMaxDummiesPerBurst times per call, with
+     * a warning when the cap stops the drain.
      */
-    void drainStash(std::uint64_t highWater, std::uint64_t lowWater,
-                    Rng &rng);
+    template <typename EvictOne>
+    void
+    drainStash(std::uint64_t highWater, std::uint64_t lowWater,
+               EvictOne &&evictOne)
+    {
+        if (stash.size() <= highWater)
+            return;
+        // Capacity trumps retention: prefetch pins are dropped before
+        // the client starts paying for dummy accesses.
+        stash.unpinAll();
+        std::uint64_t issued = 0;
+        for (; stash.size() > lowWater && issued < kMaxDummiesPerBurst;
+             ++issued)
+            evictOne();
+        if (issued == kMaxDummiesPerBurst) {
+            warn("background eviction could not drain stash below ",
+                 lowWater, " (still ", stash.size(), " blocks) after ",
+                 issued, " dummy accesses");
+        }
+    }
+
+    /** drainStash with dummy accesses on uniform leaves from @p rng. */
+    void
+    drainStash(std::uint64_t highWater, std::uint64_t lowWater, Rng &rng)
+    {
+        drainStash(highWater, lowWater,
+                   [&] { dummyAccess(rng.nextBounded(geom.numLeaves())); });
+    }
 
     /**
      * Safety valve: with a pathological configuration (e.g. tree
@@ -154,6 +201,7 @@ class PathIo : private ServerStorage::RecordSink
     ServerStorage &storage;
     Stash &stash;
     mem::TrafficMeter &meter;
+    const std::uint64_t reserve;
 
     std::uint64_t absorbed = 0;
     std::vector<std::uint64_t> slotScratch;

@@ -26,6 +26,7 @@ RingOram::RingOram(const RingOramConfig &cfg)
       storage_(geom, cfg.base.payloadBytes, cfg.base.encrypt,
                cfg.base.seed ^ 0x51A6, cfg.base.storage),
       posmap_(cfg.base.numBlocks, geom.numLeaves(), rng),
+      io(geom, storage_, stash_, mtr, cfg.dummies),
       buckets(geom.numNodes())
 {
     requireFreshStorage(storage_, "RingORAM");
@@ -36,7 +37,6 @@ RingOram::RingOram(const RingOramConfig &cfg)
     const std::uint64_t slotsPerBucket = rcfg.realZ + rcfg.dummies;
     for (auto &meta : buckets)
         meta.unreadSlots = slotsPerBucket;
-    byLevel.resize(geom.numLevels());
 }
 
 std::string
@@ -52,6 +52,9 @@ RingOram::auditRing() const
         if (meta.unreadSlots < meta.real.size())
             return "bucket " + std::to_string(node)
                 + " has fewer unread slots than valid blocks";
+        if (meta.real.size() > rcfg.realZ)
+            return "bucket " + std::to_string(node)
+                + " holds more than realZ blocks";
         slots.clear();
         for (const auto &entry : meta.real)
             slots.push_back(base + entry.second);
@@ -114,10 +117,8 @@ RingOram::readPathSparse(Leaf leaf, BlockId id)
                                });
         if (it != meta.real.end()) {
             const std::uint64_t slot = base + it->second;
-            storage_.readSlots(&slot, 1, blockScratch);
-            const StoredBlock &b = blockScratch[0];
-            LAORAM_ASSERT(b.id == id, "bucket metadata desynced");
-            stash_.put(b.id, b.leaf, b.payload);
+            io.fetchSlots(&slot, 1);
+            LAORAM_ASSERT(stash_.contains(id), "bucket metadata desynced");
             meta.real.erase(it);
             LAORAM_ASSERT(meta.unreadSlots > 0, "read of read slot");
             --meta.unreadSlots;
@@ -187,60 +188,27 @@ RingOram::evictPath(Leaf leaf, bool asDummy)
         for (const auto &[id, off] : meta.real)
             slotScratch.push_back(base + off);
         meta.real.clear();
-    }
-    storage_.readSlots(slotScratch.data(), slotScratch.size(),
-                       blockScratch);
-    const std::uint64_t blocksIn = blockScratch.size();
-    for (const StoredBlock &b : blockScratch)
-        stash_.put(b.id, b.leaf, b.payload);
-
-    // Write phase: greedy deepest-first refill, capacity realZ per
-    // bucket; remaining slots become fresh dummies.
-    for (auto &bucket : byLevel)
-        bucket.clear();
-    pool.clear();
-    for (std::size_t pos = 0; pos < stash_.size(); ++pos) {
-        byLevel[geom.commonLevel(stash_.at(pos).entry.leaf, leaf)]
-            .push_back(static_cast<std::uint32_t>(pos));
-    }
-
-    writeScratch.clear();
-    evictedScratch.clear();
-    for (unsigned level = geom.numLevels(); level-- > 0;) {
-        pool.insert(pool.begin(), byLevel[level].begin(),
-                    byLevel[level].end());
-
-        const NodeIndex node = geom.pathNode(leaf, level);
-        auto &meta = buckets[node];
-        const std::uint64_t base = geom.nodeSlotBase(node);
-        std::uint64_t filled = 0;
-        while (filled < rcfg.realZ && !pool.empty()) {
-            const std::uint32_t pos = pool.back();
-            pool.pop_back();
-            const StashSlot &slot = stash_.at(pos);
-            writeScratch.push_back({base + filled, slot.id,
-                                    slot.entry.leaf,
-                                    slot.entry.payload.data(),
-                                    slot.entry.payload.size()});
-            evictedScratch.push_back(pos);
-            meta.real.emplace_back(slot.id,
-                                   static_cast<std::uint8_t>(filled));
-            ++filled;
-        }
-        for (std::uint64_t s = filled; s < slotsPerBucket; ++s)
-            writeScratch.push_back({base + s, kInvalidBlock, 0,
-                                    nullptr, 0});
         meta.unreadSlots = slotsPerBucket;
     }
-    // One vectored write-back for the whole path; stash entries are
-    // erased only afterwards so the payload pointers stay valid.
-    storage_.writeSlots(writeScratch.data(), writeScratch.size());
-    stash_.eraseAt(evictedScratch.data(), evictedScratch.size());
+    const std::uint64_t blocksIn =
+        io.fetchSlots(slotScratch.data(), slotScratch.size());
+
+    // Write phase: PathIo's greedy refill of the path, realZ blocks
+    // per bucket (its reserve keeps the S dummy slots); the bucket
+    // metadata is rebuilt from what it wrote.
+    io.writeBack(&leaf, 1);
+    for (const ServerStorage::SlotWriteOp &op : io.lastWrite()) {
+        if (op.id == kInvalidBlock)
+            continue;
+        const NodeIndex node = geom.slotNode(op.slot);
+        buckets[node].real.emplace_back(
+            op.id,
+            static_cast<std::uint8_t>(op.slot - geom.nodeSlotBase(node)));
+    }
 
     // Only the valid blocks were read; every slot of the path is
     // written back.
-    const std::uint64_t writeBlocks =
-        geom.numLevels() * slotsPerBucket;
+    const std::uint64_t writeBlocks = io.lastWrite().size();
     if (asDummy) {
         mtr.recordDummyAccess(blocksIn * cfg.blockBytes, blocksIn,
                               writeBlocks * cfg.blockBytes, writeBlocks);
@@ -275,21 +243,10 @@ RingOram::access(BlockId id, AccessOp op, const std::uint8_t *in,
         sinceEvict = 0;
     }
 
-    // Stash high-water safety: extra evictions billed as dummies,
-    // capped like PathIo::drainStash.
-    if (stash_.size() > cfg.stashHighWater) {
-        std::uint64_t issued = 0;
-        while (stash_.size() > cfg.stashLowWater
-               && issued < PathIo::kMaxDummiesPerBurst) {
-            evictPath(reverseLexLeaf(evictCounter++), true);
-            ++issued;
-        }
-        if (issued == PathIo::kMaxDummiesPerBurst) {
-            warn("background eviction could not drain stash below ",
-                 cfg.stashLowWater, " (still ", stash_.size(),
-                 " blocks) after ", issued, " dummy evictions");
-        }
-    }
+    // Stash high-water safety: extra evictions billed as dummies.
+    io.drainStash(cfg.stashHighWater, cfg.stashLowWater, [&] {
+        evictPath(reverseLexLeaf(evictCounter++), true);
+    });
     mtr.observeStashSize(stash_.size());
 }
 

@@ -86,9 +86,11 @@ class RingOram final : public OramEngine
     void readPathSparse(Leaf leaf, BlockId id);
 
     /**
-     * EvictPath: pull every valid block on @p leaf's path into the
-     * stash, then refill buckets greedily up to realZ blocks each.
-     * @p asDummy charges the access as a background-eviction dummy.
+     * EvictPath: fetch the slots the metadata marks valid on @p
+     * leaf's path, refill it through PathIo's greedy write-back (its
+     * reserve of S caps each bucket at realZ blocks) and rebuild the
+     * metadata from what it wrote. @p asDummy charges the access as
+     * a background-eviction dummy.
      */
     void evictPath(Leaf leaf, bool asDummy);
 
@@ -99,17 +101,15 @@ class RingOram final : public OramEngine
     ServerStorage storage_;
     PositionMap posmap_;
     Stash stash_;
+    PathIo io; ///< uncharged fetches and refills; reserve = S
     std::vector<BucketMeta> buckets;
     std::uint64_t evictCounter = 0;
     std::uint64_t sinceEvict = 0;
 
     // Scratch (avoids per-access allocation).
-    std::vector<std::vector<std::uint32_t>> byLevel; ///< stash positions
-    std::vector<std::uint32_t> pool;
     std::vector<std::uint64_t> slotScratch;
     std::vector<StoredBlock> blockScratch;
     std::vector<ServerStorage::SlotWriteOp> writeScratch;
-    std::vector<std::uint32_t> evictedScratch;
 };
 
 } // namespace laoram::oram

@@ -8,7 +8,9 @@
  * SnapshotError instead of deserializing garbage into the position
  * map. The restore-or-fresh construction decision (a reopened tree
  * without --restore, a fresh tree with it, a missing sidecar) is
- * fatal by design and death-tested against its CLI guidance.
+ * fatal by design and death-tested against its CLI guidance. Engines
+ * with no snapshot support (RingORAM, recursive PathORAM) refuse to
+ * checkpoint or restore rather than emit a header-only snapshot.
  *
  * Seeded via LAORAM_DIFF_SEED like the differential suite.
  */
@@ -22,6 +24,9 @@
 #include "../common/temp_dir.hh"
 #include "core/laoram_client.hh"
 #include "engine_snapshot.hh"
+#include "oram/path_oram.hh"
+#include "oram/recursive_posmap.hh"
+#include "oram/ring_oram.hh"
 #include "util/rng.hh"
 #include "util/serde.hh"
 
@@ -411,6 +416,70 @@ TEST(CheckpointFreshness, MissingSidecarIsFatal)
     again.base.checkpoint.restore = true;
     EXPECT_DEATH({ Laoram dead(again); (void)dead; },
                  "genuinely unrestorable");
+}
+
+/** The SnapshotError message @p fn throws, or a marker if none. */
+template <typename Fn>
+std::string
+snapshotErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const serde::SnapshotError &e) {
+        return e.what();
+    }
+    return "<no SnapshotError thrown>";
+}
+
+/**
+ * @p engine holds written blocks its snapshot would have to carry:
+ * checkpoint() and restoreFrom() must both throw, naming the engine.
+ */
+void
+expectCheckpointRefused(oram::OramEngine &engine)
+{
+    const std::vector<std::uint8_t> data(engine.config().payloadBytes,
+                                         0xAB);
+    for (oram::BlockId id = 0; id < 64; ++id)
+        engine.writeBlock(id, data);
+
+    const std::string saved =
+        snapshotErrorOf([&] { (void)engine.checkpoint(); });
+    EXPECT_NE(saved.find(engine.name()), std::string::npos) << saved;
+
+    // A well-formed snapshot of a checkpointable engine over the same
+    // geometry is refused too, by name, before any state is touched.
+    oram::PathOram donor(engine.config());
+    const std::vector<std::uint8_t> blob = donor.checkpoint();
+    const std::string restored =
+        snapshotErrorOf([&] { engine.restoreFrom(blob); });
+    EXPECT_NE(restored.find(engine.name()), std::string::npos)
+        << restored;
+    std::vector<std::uint8_t> out;
+    engine.readBlock(5, out);
+    EXPECT_EQ(out, data);
+}
+
+TEST(CheckpointUnsupported, RingOramRefusesToCheckpoint)
+{
+    oram::RingOramConfig cfg;
+    cfg.base.numBlocks = 128;
+    cfg.base.payloadBytes = 8;
+    oram::RingOram engine(cfg);
+    expectCheckpointRefused(engine);
+}
+
+TEST(CheckpointUnsupported, RecursivePathOramRefusesToCheckpoint)
+{
+    oram::EngineConfig cfg;
+    cfg.numBlocks = 128;
+    cfg.payloadBytes = 8;
+    oram::RecursiveConfig rcfg;
+    rcfg.packing = 4;
+    rcfg.directThreshold = 8;
+    oram::RecursivePathOram engine(cfg, rcfg);
+    ASSERT_GE(engine.positionMap().oramLevels(), 1u);
+    expectCheckpointRefused(engine);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * PathIo tests: path reads absorb blocks, greedy write-back places
- * deepest-first, every call charges the meter it is bound to, and the
- * tree auditor catches corruption.
+ * deepest-first and honours the per-bucket reserve, every call
+ * charges the meter it is bound to, and the tree auditor catches
+ * corruption.
  */
 
 #include <gtest/gtest.h>
@@ -242,6 +243,120 @@ TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
                   payload.data(), payload.size());
     stash.put(8, leaf, payloadFor(8));
     EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
+}
+
+/** A tree driven through a PathIo that keeps @p reserve slots free. */
+struct ReservedTree
+{
+    ReservedTree(const TreeGeometry &geom, mem::TrafficMeter &meter,
+                 std::uint64_t reserve)
+        : geom(geom),
+          storage(geom, 8, false),
+          rng(19),
+          posmap(geom.numBlocks(), geom.numLeaves(), rng),
+          io(geom, storage, stash, meter, reserve)
+    {
+    }
+
+    /** Read @p id's path, remap the block, write the path back. */
+    void
+    access(BlockId id)
+    {
+        const Leaf cur = posmap.get(id);
+        io.readPaths(&cur, 1);
+        const Leaf next = rng.nextBounded(geom.numLeaves());
+        posmap.set(id, next);
+        stash.findOrCreate(id, next, 8);
+        io.writePaths(&cur, 1);
+    }
+
+    const TreeGeometry &geom;
+    ServerStorage storage;
+    Rng rng;
+    PositionMap posmap;
+    Stash stash;
+    PathIo io;
+};
+
+TEST_F(PathIoFixture, ReserveCapsRealBlocksPerBucket)
+{
+    const std::uint64_t z = geom.bucketSize(0);
+    for (std::uint64_t r = 1; r < z; ++r) {
+        ReservedTree tree(geom, meter, r);
+        for (int round = 0; round < 300; ++round) {
+            tree.access(tree.rng.nextBounded(geom.numBlocks()));
+            // Each written bucket is z consecutive ops.
+            const auto &ops = tree.io.lastWrite();
+            ASSERT_EQ(ops.size(), geom.pathSlots());
+            for (std::size_t b = 0; b < ops.size(); b += z) {
+                std::uint64_t real = 0;
+                for (std::size_t s = 0; s < z; ++s)
+                    real += ops[b + s].id != kInvalidBlock ? 1 : 0;
+                ASSERT_LE(real, z - r) << "reserve " << r;
+                for (std::size_t s = z - r; s < z; ++s)
+                    ASSERT_EQ(ops[b + s].id, kInvalidBlock)
+                        << "reserve " << r << " slot " << s;
+            }
+        }
+        // The tree itself: every bucket's last r slots are dummies.
+        StoredBlock b;
+        for (NodeIndex node = 0; node < geom.numNodes(); ++node) {
+            const std::uint64_t base = geom.nodeSlotBase(node);
+            for (std::uint64_t s = z - r; s < z; ++s) {
+                slotio::read(tree.storage, base + s, b);
+                ASSERT_TRUE(b.isDummy())
+                    << "reserve " << r << " node " << node;
+            }
+        }
+        EXPECT_EQ(auditTree(geom, tree.storage, tree.stash, tree.posmap),
+                  "");
+    }
+}
+
+/** Running FNV-1a 64 over 64-bit words. */
+void
+fnv(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 0x100000001b3ull;
+    }
+}
+
+TEST_F(PathIoFixture, ReserveMovesPlacementNotTrace)
+{
+    // Digests of the (slot, isWrite) sequence the server sees and of
+    // the (slot, id) placements the write-backs made.
+    struct Run
+    {
+        std::uint64_t trace = 0xcbf29ce484222325ull;
+        std::uint64_t placement = 0xcbf29ce484222325ull;
+    };
+    auto run = [&](std::uint64_t reserve) {
+        ReservedTree tree(geom, meter, reserve);
+        Run out;
+        tree.storage.setAccessSink([&](std::uint64_t slot, bool write) {
+            fnv(out.trace, slot);
+            fnv(out.trace, write ? 1 : 0);
+        });
+        for (int round = 0; round < 300; ++round) {
+            tree.access(tree.rng.nextBounded(geom.numBlocks()));
+            for (const auto &op : tree.io.lastWrite()) {
+                fnv(out.placement, op.slot);
+                fnv(out.placement, op.id);
+            }
+        }
+        return out;
+    };
+    const Run free = run(0);
+    // Pinned: a reserve of 0 leaves PathIo's trace as it was before
+    // the reserve existed.
+    EXPECT_EQ(free.trace, 0x0389cba011a2f21dull);
+    // Full paths are read and written either way; only where the
+    // blocks land changes.
+    const Run reserved = run(2);
+    EXPECT_EQ(reserved.trace, free.trace);
+    EXPECT_NE(reserved.placement, free.placement);
 }
 
 TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)

@@ -193,6 +193,45 @@ TEST(RingOram, ChargedReadsAreIssuedReadsPlusSparseDummies)
     EXPECT_GT(oram.meter().counters().dummyReads, 0u);
 }
 
+TEST(RingOram, AuditAfterChurnAtLowWaterMarks)
+{
+    // The water marks of ChargedReadsAreIssuedReadsPlusSparseDummies:
+    // high-water dummy evictions run often, so both kinds of
+    // EvictPath refill the tree. No bucket may hold more than realZ
+    // valid blocks, and every written value reads back.
+    RingOramConfig cfg = ringConfig(1024);
+    cfg.realZ = 2;
+    cfg.dummies = 2;
+    cfg.evictEvery = 8;
+    cfg.base.stashHighWater = 6;
+    cfg.base.stashLowWater = 2;
+    RingOram oram(cfg);
+    std::map<BlockId, std::vector<std::uint8_t>> ref;
+    Rng rng(8);
+    for (int i = 0; i < 4000; ++i) {
+        const BlockId id = rng.nextBounded(1024);
+        if (rng.nextBool(0.5)) {
+            std::vector<std::uint8_t> data(
+                8, static_cast<std::uint8_t>(i));
+            oram.writeBlock(id, data);
+            ref[id] = data;
+        } else {
+            std::vector<std::uint8_t> out;
+            oram.readBlock(id, out);
+            const auto it = ref.find(id);
+            EXPECT_EQ(out, it == ref.end()
+                               ? std::vector<std::uint8_t>(8, 0)
+                               : it->second)
+                << "block " << id << " step " << i;
+        }
+        if (i % 500 == 499) {
+            ASSERT_EQ(oram.auditRing(), "") << "after access " << i;
+        }
+    }
+    EXPECT_GT(oram.meter().counters().dummyReads, 0u);
+    EXPECT_GT(oram.meter().counters().reshuffles, 0u);
+}
+
 TEST(RingOram, RejectsOversizedBuckets)
 {
     RingOramConfig cfg = ringConfig(16);
