@@ -13,6 +13,9 @@
  *   bytesRead and bytesWritten;
  * - every payload read back.
  *
+ * One encrypted PathORAM leg also digests the raw at-rest ciphertext
+ * of its DRAM tree, so the cipher's output bytes are pinned too.
+ *
  * The determinism suites compare modes of the same code against each
  * other, so a refactor of the access step that changes every leg at
  * once passes them; these constants do not move unless the server
@@ -312,6 +315,30 @@ TEST(EngineDigest, RecursivePathOram)
     EXPECT_EQ(got.sink, Digest{}.h) << "no access sink installed";
     expectPinned(got, Digest{}.h, 0x50c042ecf4817ba3ull,
                  0xc19d7d62107116a5ull);
+}
+
+TEST(EngineDigest, EncryptedPathOramCiphertext)
+{
+    // The at-rest bytes of an encrypted DRAM tree after the trace: a
+    // change to the cipher, the nonce layout, the epoch order or the
+    // record encoding moves this digest, even where every decrypted
+    // payload stays the same. 116-B records span one whole keystream
+    // block and a 52-B tail.
+    oram::EngineConfig cfg = baseConfig();
+    cfg.encrypt = true;
+    cfg.payloadBytes = 100;
+    oram::PathOram engine(cfg);
+    const Digests got = runAccesses(engine, &engine);
+    expectPinned(got, 0x8b7bd4f638437b9dull, 0x25f4433a51cbc2cbull,
+                 0x3984e4d660ecc325ull);
+
+    const oram::ServerStorage &storage = engine.storageForAudit();
+    const std::uint8_t *base = storage.backend().mappedBase();
+    ASSERT_NE(base, nullptr) << "DRAM trees are addressable";
+    Digest atRest;
+    atRest.add(std::vector<std::uint8_t>(
+        base, base + storage.slots() * storage.recordBytes()));
+    EXPECT_EQ(atRest.h, 0x48efef23492b5e23ull) << std::hex << "at rest 0x" << atRest.h;
 }
 
 TEST(EngineDigest, RingOram)
