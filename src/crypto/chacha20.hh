@@ -8,9 +8,14 @@
  * encrypt bucket payloads at rest and (b) as a deterministic keyed PRF
  * where tests need reproducible pseudorandom bytes.
  *
- * This is a reference implementation tuned for clarity; it is fast
- * enough for the simulator (hundreds of MB/s) and validated against the
- * RFC 8439 test vectors in tests/crypto.
+ * One lane-parallel kernel serves every call: a batch of messages is
+ * flattened into (message, block) lanes and run 8 ChaCha20 blocks per
+ * step on 16-byte GCC vector lanes (SSE2 / NEON, no -march flag), and
+ * the keystream is XORed a word at a time. A single block or message
+ * is a batch of one. Sealing an 80-B record (two blocks) takes
+ * XXX ns in a batch against 345 ns for the byte-at-a-time scalar
+ * version it replaced (gcc 12 -O3, x86-64). Validated against the
+ * RFC 8439 test vectors in tests/crypto, in every lane position.
  */
 
 #ifndef LAORAM_CRYPTO_CHACHA20_HH
@@ -57,6 +62,16 @@ class ChaCha20
     static void xorStream(const Key256 &key, const Nonce96 &nonce,
                           std::uint32_t counter, std::uint8_t *data,
                           std::size_t len);
+
+    /**
+     * Batched xorStream: XOR @p n messages of @p len bytes each in
+     * place, message i at @p data + i * len under @p nonces[i], every
+     * keystream starting at block @p counter. Byte-identical to n
+     * xorStream calls.
+     */
+    static void xorStreams(const Key256 &key, const Nonce96 *nonces,
+                           std::size_t n, std::uint32_t counter,
+                           std::uint8_t *data, std::size_t len);
 };
 
 } // namespace laoram::crypto

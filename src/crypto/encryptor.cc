@@ -1,9 +1,51 @@
 #include "crypto/encryptor.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace laoram::crypto {
+
+namespace {
+
+Nonce96
+nonceFor(std::uint64_t slot, std::uint32_t epoch)
+{
+    // Nonce = slot id (8 bytes LE) || epoch (4 bytes LE): unique per
+    // (slot, write) pair, which is all a stream cipher needs.
+    Nonce96 nonce{};
+    for (int i = 0; i < 8; ++i)
+        nonce[i] = static_cast<std::uint8_t>(slot >> (8 * i));
+    for (int i = 0; i < 4; ++i)
+        nonce[8 + i] = static_cast<std::uint8_t>(epoch >> (8 * i));
+    return nonce;
+}
+
+/**
+ * XOR @p n records of @p len bytes at @p data with the keystreams of
+ * (slots[i], epochOf(slots[i])), calling epochOf in op order. Nonces
+ * are staged a chunk at a time on the stack; a chunk is a multiple of
+ * the kernel's step, so only the batch's last step can run part-full.
+ */
+template <typename EpochOf>
+void
+xorSlots(const Key256 &key, const std::uint64_t *slots, std::size_t n,
+         std::uint8_t *data, std::size_t len, EpochOf epochOf)
+{
+    constexpr std::size_t kChunk = 64;
+    Nonce96 nonces[kChunk];
+    for (std::size_t base = 0; base < n; base += kChunk) {
+        const std::size_t m = std::min(kChunk, n - base);
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::uint64_t slot = slots[base + i];
+            nonces[i] = nonceFor(slot, epochOf(slot));
+        }
+        ChaCha20::xorStreams(key, nonces, m, 0, data + base * len, len);
+    }
+}
+
+} // namespace
 
 Encryptor::Encryptor(const Key256 &key, std::uint64_t slots)
     : isEnabled(true), key(key), epochs(slots, 0)
@@ -18,38 +60,28 @@ Encryptor::makeDisabled()
     return Encryptor();
 }
 
-Nonce96
-Encryptor::nonceFor(std::uint64_t slot, std::uint32_t epoch) const
-{
-    // Nonce = slot id (8 bytes LE) || epoch (4 bytes LE): unique per
-    // (slot, write) pair, which is all a stream cipher needs.
-    Nonce96 nonce{};
-    for (int i = 0; i < 8; ++i)
-        nonce[i] = static_cast<std::uint8_t>(slot >> (8 * i));
-    for (int i = 0; i < 4; ++i)
-        nonce[8 + i] = static_cast<std::uint8_t>(epoch >> (8 * i));
-    return nonce;
-}
-
 void
-Encryptor::encryptSlot(std::uint64_t slot, std::uint8_t *data,
-                       std::size_t len)
+Encryptor::encryptSlots(const std::uint64_t *slots, std::size_t n,
+                        std::uint8_t *data, std::size_t len)
 {
     if (!isEnabled)
         return;
-    LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
-    ++epochs[slot];
-    ChaCha20::xorStream(key, nonceFor(slot, epochs[slot]), 0, data, len);
+    xorSlots(key, slots, n, data, len, [this](std::uint64_t slot) {
+        LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
+        return ++epochs[slot];
+    });
 }
 
 void
-Encryptor::decryptSlot(std::uint64_t slot, std::uint8_t *data,
-                       std::size_t len) const
+Encryptor::decryptSlots(const std::uint64_t *slots, std::size_t n,
+                        std::uint8_t *data, std::size_t len) const
 {
     if (!isEnabled)
         return;
-    LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
-    ChaCha20::xorStream(key, nonceFor(slot, epochs[slot]), 0, data, len);
+    xorSlots(key, slots, n, data, len, [this](std::uint64_t slot) {
+        LAORAM_ASSERT(slot < epochs.size(), "slot out of range");
+        return epochs[slot];
+    });
 }
 
 std::array<std::uint8_t, kKeyCheckBytes>

@@ -25,12 +25,14 @@ namespace laoram::crypto {
 inline constexpr std::size_t kKeyCheckBytes = 16;
 
 /**
- * Encrypts/decrypts slot-sized byte buffers in place.
+ * Encrypts/decrypts batches of slot records in place.
  *
  * Tracks a per-slot write epoch internally; callers just say
- * "encrypt slot s now" and "decrypt slot s" and nonce management is
- * handled. Disabled mode (makeDisabled()) is a no-op pass-through used
- * by large benches where encryption throughput is not the metric.
+ * "encrypt these slots now" and "decrypt these slots" and nonce
+ * management is handled. A batch runs as one lane-parallel ChaCha20
+ * call (ChaCha20::xorStreams); a single slot is a batch of one.
+ * Disabled mode (makeDisabled()) is a no-op pass-through used by
+ * large benches where encryption throughput is not the metric.
  */
 class Encryptor
 {
@@ -44,15 +46,20 @@ class Encryptor
     bool enabled() const { return isEnabled; }
 
     /**
-     * Encrypt @p data in place as the next write of @p slot (bumps the
-     * slot's epoch).
+     * Encrypt @p n records of @p len bytes in place, record i at
+     * @p data + i * len, as the next write of @p slots[i]. Epochs are
+     * bumped in op order, so a slot listed twice is sealed under two
+     * fresh nonces exactly as two single-slot calls would be.
      */
-    void encryptSlot(std::uint64_t slot, std::uint8_t *data,
-                     std::size_t len);
+    void encryptSlots(const std::uint64_t *slots, std::size_t n,
+                      std::uint8_t *data, std::size_t len);
 
-    /** Decrypt @p data in place using @p slot's current epoch. */
-    void decryptSlot(std::uint64_t slot, std::uint8_t *data,
-                     std::size_t len) const;
+    /**
+     * Decrypt @p n records of @p len bytes in place, record i at
+     * @p data + i * len, under @p slots[i]'s current epoch.
+     */
+    void decryptSlots(const std::uint64_t *slots, std::size_t n,
+                      std::uint8_t *data, std::size_t len) const;
 
     /** Derive a key from a 64-bit seed (tests / examples convenience). */
     static Key256 deriveKey(std::uint64_t seed);
@@ -77,8 +84,6 @@ class Encryptor
 
   private:
     Encryptor(); // disabled-mode constructor
-
-    Nonce96 nonceFor(std::uint64_t slot, std::uint32_t epoch) const;
 
     bool isEnabled;
     Key256 key{};

@@ -76,6 +76,17 @@ ServerStorage::ServerStorage(
                                   nSlots)
               : crypto::Encryptor::makeDisabled())
 {
+    if (encrypt) {
+        cryptoSource.emplace([this](obs::PullSink &out) {
+            const CryptoStats c = cryptoStats();
+            out.counter("crypto.records_sealed", "", c.recordsSealed);
+            out.counter("crypto.records_opened", "", c.recordsOpened);
+            out.counter("crypto.seal_ns", "",
+                        static_cast<std::uint64_t>(c.sealNs));
+            out.counter("crypto.open_ns", "",
+                        static_cast<std::uint64_t>(c.openNs));
+        });
+    }
     LAORAM_ASSERT(store, "ServerStorage needs a backend");
     LAORAM_ASSERT(store->slots() == nSlots, "backend holds ",
                   store->slots(), " slots, geometry needs ", nSlots);
@@ -141,19 +152,9 @@ ServerStorage::initialise()
     }
 }
 
-const std::uint8_t *
-ServerStorage::plaintextRecord(std::uint64_t slot,
-                               const std::uint8_t *rec) const
-{
-    if (!enc.enabled())
-        return rec;
-    cryptScratch.assign(rec, rec + recBytes);
-    enc.decryptSlot(slot, cryptScratch.data(), cryptScratch.size());
-    return cryptScratch.data();
-}
-
 void
-ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
+ServerStorage::encodeRecord(const SlotWriteOp &op,
+                            std::uint8_t *rec) const
 {
     LAORAM_ASSERT(op.len <= payBytes, "payload (", op.len,
                   " B) exceeds slot payload capacity (", payBytes,
@@ -167,7 +168,25 @@ ServerStorage::encodeRecord(const SlotWriteOp &op, std::uint8_t *rec)
             std::memset(rec + kHeaderBytes + op.len, 0,
                         payBytes - op.len);
     }
-    enc.encryptSlot(op.slot, rec, recBytes);
+}
+
+void
+ServerStorage::openStaged(const std::uint64_t *slots,
+                          std::size_t n) const
+{
+    const WallClock::time_point t0 = WallClock::now();
+    enc.decryptSlots(slots, n, staging.data(), recBytes);
+    cstats.openNs += elapsedNs(t0);
+    cstats.recordsOpened += n;
+}
+
+void
+ServerStorage::sealStaged(const std::uint64_t *slots, std::size_t n)
+{
+    const WallClock::time_point t0 = WallClock::now();
+    enc.encryptSlots(slots, n, staging.data(), recBytes);
+    cstats.sealNs += elapsedNs(t0);
+    cstats.recordsSealed += n;
 }
 
 void
@@ -182,31 +201,44 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
         for (std::size_t i = 0; i < n; ++i)
             sink(slots[i], false);
     }
-    if (std::uint8_t *base = store->mappedBase()) {
-        store->willNeed(slots, n);
-        const WallClock::time_point t0 = WallClock::now();
+    const auto emit = [&](std::size_t i, const std::uint8_t *rec) {
+        into.record(i, loadU64(rec), loadU64(rec + 8),
+                    rec + kHeaderBytes);
+    };
+    const std::uint8_t *base = store->mappedBase();
+    if (!base) {
+        // Staged path: the backend fills staging, which is opened
+        // and decoded in place.
+        staging.resize(n * recBytes);
+        store->readSlots(slots, n, staging.data());
+        if (enc.enabled())
+            openStaged(slots, n);
+        for (std::size_t i = 0; i < n; ++i)
+            emit(i, staging.data() + i * recBytes);
+        return;
+    }
+    store->willNeed(slots, n);
+    const WallClock::time_point t0 = WallClock::now();
+    if (!enc.enabled()) {
         for (std::size_t i = 0; i < n; ++i) {
             LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
                           " out of range");
-            const std::uint8_t *rec =
-                plaintextRecord(slots[i], base + slots[i] * recBytes);
-            into.record(i, loadU64(rec), loadU64(rec + 8),
-                        rec + kHeaderBytes);
+            emit(i, base + slots[i] * recBytes);
         }
-        store->noteMappedRead(n, elapsedNs(t0));
-        return;
+    } else {
+        // Opened in a copy, so the mapped bytes stay ciphertext.
+        staging.resize(n * recBytes);
+        for (std::size_t i = 0; i < n; ++i) {
+            LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
+                          " out of range");
+            std::memcpy(staging.data() + i * recBytes,
+                        base + slots[i] * recBytes, recBytes);
+        }
+        openStaged(slots, n);
+        for (std::size_t i = 0; i < n; ++i)
+            emit(i, staging.data() + i * recBytes);
     }
-    // Staged path: records are decrypted in place in the staging
-    // buffer, no extra copy.
-    staging.resize(n * recBytes);
-    store->readSlots(slots, n, staging.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t *rec = staging.data() + i * recBytes;
-        if (enc.enabled())
-            enc.decryptSlot(slots[i], rec, recBytes);
-        into.record(i, loadU64(rec), loadU64(rec + 8),
-                    rec + kHeaderBytes);
-    }
+    store->noteMappedRead(n, elapsedNs(t0));
 }
 
 void
@@ -250,7 +282,8 @@ ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
         for (std::size_t i = 0; i < n; ++i)
             sink(ops[i].slot, true);
     }
-    if (std::uint8_t *base = store->mappedBase()) {
+    std::uint8_t *base = store->mappedBase();
+    if (base && !enc.enabled()) {
         const WallClock::time_point t0 = WallClock::now();
         for (std::size_t i = 0; i < n; ++i) {
             LAORAM_ASSERT(ops[i].slot < nSlots, "slot ", ops[i].slot,
@@ -260,13 +293,31 @@ ServerStorage::writeSlots(const SlotWriteOp *ops, std::size_t n)
         store->noteMappedWrite(n, elapsedNs(t0));
         return;
     }
+    // Encode the whole vector into staging and seal it in one batch.
+    // A mapped tree then takes the ciphertext in op order, so a slot
+    // written twice keeps its last record.
+    WallClock::time_point t0{};
+    if (base)
+        t0 = WallClock::now();
     staging.resize(n * recBytes);
     slotScratch.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         slotScratch[i] = ops[i].slot;
         encodeRecord(ops[i], staging.data() + i * recBytes);
     }
-    store->writeSlots(slotScratch.data(), n, staging.data());
+    if (enc.enabled())
+        sealStaged(slotScratch.data(), n);
+    if (!base) {
+        store->writeSlots(slotScratch.data(), n, staging.data());
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        LAORAM_ASSERT(ops[i].slot < nSlots, "slot ", ops[i].slot,
+                      " out of range");
+        std::memcpy(base + ops[i].slot * recBytes,
+                    staging.data() + i * recBytes, recBytes);
+    }
+    store->noteMappedWrite(n, elapsedNs(t0));
 }
 
 void

@@ -17,6 +17,11 @@
  * per path, and the adversary access sink costs one branch per path
  * instead of one per slot when no sink is installed.
  *
+ * With encryption on, every vectored call opens or seals its whole
+ * record vector in one batched ChaCha20 call (crypto::Encryptor::
+ * decryptSlots / encryptSlots), and the CryptoStats ledger counts the
+ * records and the nanoseconds each side took.
+ *
  * `payloadBytes` is deliberately decoupled from the geometry's logical
  * `blockBytes`: correctness tests run with real payloads, while
  * paper-scale benches set payloadBytes = 0 and account traffic in
@@ -30,14 +35,33 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "crypto/encryptor.hh"
+#include "obs/metrics.hh"
 #include "oram/tree_geometry.hh"
 #include "oram/types.hh"
 #include "storage/slot_backend.hh"
 
 namespace laoram::oram {
+
+/**
+ * Monotonic crypto ledger of one encrypted storage (value type). The
+ * fields are obs::Tally cells, so a sampler thread may read the
+ * storage's copy while the serving thread seals and opens records.
+ * Each batched call takes one clock pair.
+ */
+struct CryptoStats
+{
+    using Count = obs::Tally<std::uint64_t>;
+    using Nanos = obs::Tally<std::int64_t>;
+
+    Count recordsSealed = 0;
+    Count recordsOpened = 0;
+    Nanos sealNs = 0; ///< measured wall time inside encryptSlots
+    Nanos openNs = 0; ///< measured wall time inside decryptSlots
+};
 
 /** Untrusted tree storage with encryption-at-rest. */
 class ServerStorage
@@ -141,6 +165,12 @@ class ServerStorage
     /** Monotonic backend I/O ledger (measured ns, ops, bytes). */
     storage::IoStats ioStats() const { return store->ioStats(); }
 
+    /**
+     * Monotonic seal/open ledger; all zero without encryption. Pulled
+     * by the metrics registry as crypto.* when encrypting.
+     */
+    CryptoStats cryptoStats() const { return cstats; }
+
     /** Drop the backend's clean pages (cold-cache benching). */
     void dropPageCache() { store->dropPageCache(); }
 
@@ -161,33 +191,34 @@ class ServerStorage
   private:
     void initialise();
 
-    /**
-     * Plaintext of an at-rest record the storage still owns (mapped
-     * path): decrypts into scratch so the stored bytes stay
-     * encrypted; unencrypted records are returned in place. Valid
-     * until the next call.
-     */
-    const std::uint8_t *plaintextRecord(std::uint64_t slot,
-                                        const std::uint8_t *rec) const;
+    /** Serialise one write op into @p rec (plaintext). */
+    void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec) const;
 
-    /** Serialise one write op into @p rec and encrypt in place. */
-    void encodeRecord(const SlotWriteOp &op, std::uint8_t *rec);
+    /** Decrypt the first @p n records of staging in one batch. */
+    void openStaged(const std::uint64_t *slots, std::size_t n) const;
+
+    /** Encrypt the first @p n records of staging in one batch. */
+    void sealStaged(const std::uint64_t *slots, std::size_t n);
 
     const TreeGeometry &geom;
     std::uint64_t payBytes;
     std::uint64_t recBytes;
     std::uint64_t nSlots;
     std::unique_ptr<storage::SlotBackend> store;
-    mutable crypto::Encryptor enc;
+    crypto::Encryptor enc;
     AccessSink sink;
     bool wasReopened = false;
 
-    // Staging scratch, reused across calls to avoid per-path
-    // allocation: decrypt copies (mapped path) and whole-path record
-    // buffers + slot lists (staged path).
-    mutable std::vector<std::uint8_t> cryptScratch;
+    // Whole-path record buffer and slot list, reused across calls to
+    // avoid per-path allocation: every record of a staged backend,
+    // and every record of an encrypted mapped tree, is opened or
+    // sealed here so the at-rest bytes never hold plaintext.
     mutable std::vector<std::uint8_t> staging;
     std::vector<std::uint64_t> slotScratch;
+
+    mutable CryptoStats cstats;
+    /** Publishes cstats when encrypting; declared after it. */
+    std::optional<obs::MetricsSource> cryptoSource;
 };
 
 } // namespace laoram::oram

@@ -9,10 +9,12 @@
  *
  *  - addressable: the whole slot array is mapped into the process
  *    (DramBackend, MmapFileBackend). mappedBase() returns the base
- *    pointer and ServerStorage encodes/decodes records in place —
- *    zero staging copies, exactly the pre-backend hot path. For a
- *    file mapping the page faults taken during that decode ARE the
- *    I/O wait, and they land inside the timed window.
+ *    pointer and ServerStorage encodes/decodes plaintext records in
+ *    place — zero staging copies, exactly the pre-backend hot path.
+ *    Encrypted records are copied through one staging buffer per
+ *    path so they can be sealed or opened in one batch. For a file
+ *    mapping the page faults taken during that copy or decode ARE
+ *    the I/O wait, and they land inside the timed window.
  *  - staged: mappedBase() returns null and ServerStorage moves bytes
  *    through the vectored readSlots/writeSlots calls (one call per
  *    ORAM path), which is the natural shape for a remote KV or block
