@@ -1,7 +1,8 @@
 /**
  * @file
  * Engine micro-throughput on google-benchmark: wall-clock logical
- * accesses/second of each engine across tree heights. This is
+ * accesses/second of each engine across tree heights, plus the
+ * storage path read and the batched seal/open of one path. This is
  * infrastructure benchmarking (host speed of the simulator itself),
  * not a paper figure — the paper metrics are simulated-time ratios,
  * which bench_fig7_speedups reports.
@@ -11,6 +12,7 @@
 
 #include "common/harness.hh"
 #include "core/pipeline.hh"
+#include "crypto/encryptor.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/rng.hh"
@@ -154,6 +156,45 @@ BM_StorageVectoredPathRead(benchmark::State &state)
 }
 
 void
+BM_SealPath(benchmark::State &state)
+{
+    // Seal, then open, every 80-B record (16-B header + 64-B payload,
+    // the serving workload's record) of one root-to-leaf path of a
+    // 2^16-block tree in one batched call each, as ServerStorage does
+    // per path. Items are records sealed plus records opened; a batch
+    // that does not open back to its plaintext fails by name.
+    constexpr std::size_t kRecordBytes = 80;
+    const oram::TreeGeometry geom(std::uint64_t{1} << 16, 64,
+                                  oram::BucketProfile::uniform(4));
+    std::vector<std::uint64_t> slots;
+    for (unsigned level = 0; level < geom.numLevels(); ++level) {
+        const std::uint64_t base =
+            geom.nodeSlotBase(geom.pathNode(/*leaf=*/3, level));
+        for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
+            slots.push_back(base + s);
+    }
+    crypto::Encryptor enc(crypto::Encryptor::deriveKey(13),
+                          geom.totalSlots());
+    std::vector<std::uint8_t> records(slots.size() * kRecordBytes);
+    for (std::size_t i = 0; i < records.size(); ++i)
+        records[i] = static_cast<std::uint8_t>(i * 7);
+    const std::vector<std::uint8_t> plain = records;
+    for (auto _ : state) {
+        enc.encryptSlots(slots.data(), slots.size(), records.data(),
+                         kRecordBytes);
+        enc.decryptSlots(slots.data(), slots.size(), records.data(),
+                         kRecordBytes);
+        benchmark::DoNotOptimize(records.data());
+    }
+    if (records != plain)
+        state.SkipWithError("sealed path did not open to its plaintext");
+    state.SetItemsProcessed(state.iterations() * 2
+                            * static_cast<std::int64_t>(slots.size()));
+    state.SetBytesProcessed(state.iterations() * 2
+                            * static_cast<std::int64_t>(records.size()));
+}
+
+void
 BM_PipelineTrace(benchmark::State &state)
 {
     // Full two-stage pipeline over a fixed trace; range(0) selects
@@ -185,6 +226,7 @@ BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_StorageVectoredPathRead)->Arg(0)->Arg(1);
+BENCHMARK(BM_SealPath);
 BENCHMARK(BM_PipelineTrace)
     ->Arg(0)
     ->Arg(1)

@@ -187,8 +187,7 @@ ShardedLaoram::ShardedLaoram(const ShardedLaoramConfig &cfg,
     // are built, so per-shard geometry derives from the restored
     // routing (which may be a custom or post-reshard table, not the
     // default hash split).
-    if (cfg.engine.base.checkpoint.restore
-        && !cfg.engine.base.checkpoint.path.empty())
+    if (cfg.engine.base.checkpoint.restoreRequested())
         restoreManifest();
     buildEngines();
 }

@@ -74,8 +74,7 @@ void
 resolveRestoreOrFresh(const ServerStorage &storage,
                       const EngineConfig &cfg)
 {
-    const bool restore =
-        cfg.checkpoint.restore && !cfg.checkpoint.path.empty();
+    const bool restore = cfg.checkpoint.restoreRequested();
     if (!storage.reopened()) {
         // A fresh tree has no previous contents for a snapshot's
         // position map to point into; restoring against it would
@@ -113,8 +112,18 @@ resolveRestoreOrFresh(const ServerStorage &storage,
 }
 
 void
-requireFreshStorage(const ServerStorage &storage, const char *engineName)
+requireFreshStorage(const ServerStorage &storage,
+                    const EngineConfig &cfg, const char *engineName)
 {
+    if (cfg.checkpoint.restoreRequested()) {
+        LAORAM_FATAL(
+            "--restore requested from ", cfg.checkpoint.path, ", but ",
+            engineName,
+            " has no checkpoint/restore support for its trusted "
+            "client state and would serve from an empty one; only the "
+            "LAORAM/PathORAM family engines can restore. Drop "
+            "--restore to start fresh");
+    }
     if (storage.reopened()) {
         LAORAM_FATAL(
             "storage.keepExisting reopened an existing tree, but ",
@@ -267,7 +276,7 @@ OramEngine::restoreFromFile(const std::string &path)
 void
 TreeOramBase::restoreAtConstructionIfConfigured()
 {
-    if (cfg.checkpoint.restore && !cfg.checkpoint.path.empty())
+    if (cfg.checkpoint.restoreRequested())
         restoreFromFile(cfg.checkpoint.path);
 }
 

@@ -191,12 +191,14 @@ void resolveRestoreOrFresh(const ServerStorage &storage,
                            const EngineConfig &cfg);
 
 /**
- * Fatal when @p storage attached to a previous run's tree
- * (keepExisting) under an engine with no checkpoint/restore support
- * (@p engineName: RingORAM, recursive PathORAM). Points at the
- * LAORAM checkpoint flow instead of dead-ending.
+ * Fatal when @p cfg requests a restore, or when @p storage attached
+ * to a previous run's tree (keepExisting), under an engine with no
+ * checkpoint/restore support (@p engineName: RingORAM, recursive
+ * PathORAM): either way it would serve from empty client state.
+ * Points at the LAORAM checkpoint flow instead of dead-ending.
  */
 void requireFreshStorage(const ServerStorage &storage,
+                         const EngineConfig &cfg,
                          const char *engineName);
 
 /**

@@ -385,7 +385,7 @@ RecursivePathOram::RecursivePathOram(const EngineConfig &cfg,
       pathIo_(geom, storage_, stash_, mtr),
       rpm(cfg.numBlocks, geom.numLeaves(), rcfg, mtr)
 {
-    requireFreshStorage(storage_, "recursive PathORAM");
+    requireFreshStorage(storage_, cfg, "recursive PathORAM");
 }
 
 void

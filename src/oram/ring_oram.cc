@@ -29,7 +29,7 @@ RingOram::RingOram(const RingOramConfig &cfg)
       io(geom, storage_, stash_, mtr, cfg.dummies),
       buckets(geom.numNodes())
 {
-    requireFreshStorage(storage_, "RingORAM");
+    requireFreshStorage(storage_, cfg.base, "RingORAM");
     LAORAM_ASSERT(rcfg.realZ >= 1, "RingORAM needs realZ >= 1");
     LAORAM_ASSERT(rcfg.evictEvery >= 1, "eviction rate must be >= 1");
     LAORAM_ASSERT(rcfg.realZ + rcfg.dummies <= 255,

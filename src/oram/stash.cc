@@ -215,7 +215,7 @@ Stash::restore(serde::Deserializer &d)
         if (contains(id))
             throw serde::SnapshotError("stash snapshot lists block "
                                        + std::to_string(id) + " twice");
-        put(id, leaf, payload).pinned = pinned;
+        put(id, leaf, payload.data(), payload.size()).pinned = pinned;
     }
 }
 

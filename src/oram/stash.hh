@@ -68,18 +68,6 @@ class Stash
     StashEntry &put(BlockId id, Leaf leaf, const std::uint8_t *payload,
                     std::size_t len);
 
-    StashEntry &put(BlockId id, Leaf leaf,
-                    const std::vector<std::uint8_t> &payload)
-    {
-        return put(id, leaf, payload.data(), payload.size());
-    }
-
-    /** Insert a payload-less entry (pattern-only simulations). */
-    StashEntry &put(BlockId id, Leaf leaf)
-    {
-        return findOrCreate(id, leaf, 0);
-    }
-
     void erase(BlockId id);
 
     /**

@@ -217,6 +217,9 @@ struct CheckpointConfig
      * with.
      */
     bool restore = false;
+
+    /** True when construction must restore from a sidecar. */
+    bool restoreRequested() const { return restore && !path.empty(); }
 };
 
 /**

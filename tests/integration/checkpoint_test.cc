@@ -10,7 +10,8 @@
  * without --restore, a fresh tree with it, a missing sidecar) is
  * fatal by design and death-tested against its CLI guidance. Engines
  * with no snapshot support (RingORAM, recursive PathORAM) refuse to
- * checkpoint or restore rather than emit a header-only snapshot.
+ * checkpoint or restore rather than emit a header-only snapshot, and
+ * a restore request at their construction is fatal.
  *
  * Seeded via LAORAM_DIFF_SEED like the differential suite.
  */
@@ -480,6 +481,49 @@ TEST(CheckpointUnsupported, RecursivePathOramRefusesToCheckpoint)
     oram::RecursivePathOram engine(cfg, rcfg);
     ASSERT_GE(engine.positionMap().oramLevels(), 1u);
     expectCheckpointRefused(engine);
+}
+
+/**
+ * A restore request against an engine that cannot restore is fatal at
+ * construction instead of serving from empty client state. The
+ * sidecar is a well-formed snapshot, so only the engine can refuse.
+ */
+std::string
+writeDonorSnapshot(const TestTempDir &tmp, const oram::EngineConfig &cfg)
+{
+    const std::string sidecar = tmp.path("donor.ckpt");
+    oram::PathOram donor(cfg);
+    donor.checkpointToFile(sidecar);
+    return sidecar;
+}
+
+TEST(CheckpointUnsupported, RingOramRestoreRequestIsFatal)
+{
+    const TestTempDir tmp;
+    oram::RingOramConfig cfg;
+    cfg.base.numBlocks = 128;
+    cfg.base.payloadBytes = 8;
+    cfg.base.checkpoint.path = writeDonorSnapshot(tmp, cfg.base);
+    cfg.base.checkpoint.restore = true;
+    EXPECT_DEATH(
+        { oram::RingOram dead(cfg); (void)dead; },
+        "RingORAM has no checkpoint/restore support");
+}
+
+TEST(CheckpointUnsupported, RecursivePathOramRestoreRequestIsFatal)
+{
+    const TestTempDir tmp;
+    oram::EngineConfig cfg;
+    cfg.numBlocks = 128;
+    cfg.payloadBytes = 8;
+    cfg.checkpoint.path = writeDonorSnapshot(tmp, cfg);
+    cfg.checkpoint.restore = true;
+    oram::RecursiveConfig rcfg;
+    rcfg.packing = 4;
+    rcfg.directThreshold = 8;
+    EXPECT_DEATH(
+        { oram::RecursivePathOram dead(cfg, rcfg); (void)dead; },
+        "recursive PathORAM has no checkpoint/restore support");
 }
 
 } // namespace

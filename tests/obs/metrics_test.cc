@@ -254,6 +254,46 @@ TEST_F(ObsMetricsTest, SamplingWhileAnEngineServes)
             << series[i] << " after the engine closed";
 }
 
+/**
+ * An encrypted engine's storage publishes its crypto ledger: every
+ * record the backend moved was sealed or opened once, in batches, and
+ * the series keep their final values after the engine is gone.
+ */
+TEST_F(ObsMetricsTest, CryptoLedgerIsPulled)
+{
+    auto &reg = MetricsRegistry::instance();
+    const char *series[] = {"crypto.records_sealed",
+                            "crypto.records_opened"};
+    std::vector<double> base;
+    for (const char *name : series)
+        base.push_back(std::max(0.0, valueOf(reg.snapshot(), name)));
+
+    oram::EngineConfig cfg;
+    cfg.numBlocks = 256;
+    cfg.blockBytes = 64;
+    cfg.payloadBytes = 64;
+    cfg.encrypt = true;
+    cfg.seed = 9;
+    auto engine = std::make_unique<oram::PathOram>(cfg);
+    for (oram::BlockId i = 0; i < 500; ++i)
+        engine->touch(i % cfg.numBlocks);
+
+    const storage::IoStats io = engine->storageForAudit().ioStats();
+    const oram::CryptoStats c = engine->storageForAudit().cryptoStats();
+    EXPECT_EQ(c.recordsSealed, io.slotsWritten);
+    EXPECT_EQ(c.recordsOpened, io.slotsRead);
+    const double want[] = {static_cast<double>(io.slotsWritten),
+                           static_cast<double>(io.slotsRead)};
+    for (std::size_t i = 0; i < std::size(series); ++i)
+        EXPECT_EQ(valueOf(reg.snapshot(), series[i]) - base[i], want[i])
+            << series[i];
+    EXPECT_GT(valueOf(reg.snapshot(), "crypto.open_ns"), 0.0);
+    engine.reset();
+    for (std::size_t i = 0; i < std::size(series); ++i)
+        EXPECT_EQ(valueOf(reg.snapshot(), series[i]) - base[i], want[i])
+            << series[i] << " after the engine closed";
+}
+
 TEST_F(ObsMetricsTest, EnabledGateFlips)
 {
     EXPECT_FALSE(metricsEnabled());

@@ -338,7 +338,8 @@ TEST(EngineDigest, EncryptedPathOramCiphertext)
     Digest atRest;
     atRest.add(std::vector<std::uint8_t>(
         base, base + storage.slots() * storage.recordBytes()));
-    EXPECT_EQ(atRest.h, 0x48efef23492b5e23ull) << std::hex << "at rest 0x" << atRest.h;
+    EXPECT_EQ(atRest.h, 0x48efef23492b5e23ull)
+        << std::hex << "at rest 0x" << atRest.h;
 }
 
 TEST(EngineDigest, RingOram)

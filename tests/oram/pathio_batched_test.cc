@@ -14,6 +14,7 @@
 #include <set>
 
 #include "../common/slot_io.hh"
+#include "../common/stash_io.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -57,7 +58,7 @@ struct BatchedFixture : public ::testing::Test
     stage(BlockId id, Leaf leaf)
     {
         posmap.set(id, leaf);
-        stash.put(id, leaf, payloadFor(id));
+        stashio::put(stash, id, leaf, payloadFor(id));
     }
 
     TreeGeometry geom;
@@ -315,7 +316,7 @@ checkUnionWriteBackAgainstNaive(const BucketProfile &profile,
             const Leaf leaf = rng.nextBounded(geom.numLeaves());
             const bool pin = rng.nextBounded(6) == 0;
             posmap.set(id, leaf);
-            stash.put(id, leaf, std::vector<std::uint8_t>(8, 1))
+            stashio::put(stash, id, leaf, std::vector<std::uint8_t>(8, 1))
                 .pinned = pin;
             blocks.emplace_back(leaf, pin);
             if (pin)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "../common/slot_io.hh"
+#include "../common/stash_io.hh"
 #include "oram/evictor.hh"
 #include "util/rng.hh"
 
@@ -58,7 +59,7 @@ TEST_F(PathIoFixture, WriteThenReadRoundTripsBlock)
 {
     const Leaf leaf = 5;
     posmap.set(1, leaf);
-    stash.put(1, leaf, payloadFor(1));
+    stashio::put(stash, 1, leaf, payloadFor(1));
     EXPECT_EQ(writeOne(leaf), 1u);
     EXPECT_TRUE(stash.empty());
 
@@ -74,7 +75,7 @@ TEST_F(PathIoFixture, BlockOnOwnLeafGoesToLeafBucket)
     // in the deepest (leaf) bucket.
     const Leaf leaf = 3;
     posmap.set(2, leaf);
-    stash.put(2, leaf, payloadFor(2));
+    stashio::put(stash, 2, leaf, payloadFor(2));
     writeOne(leaf);
 
     const NodeIndex leaf_node = geom.pathNode(leaf, geom.leafLevel());
@@ -97,7 +98,7 @@ TEST_F(PathIoFixture, DivergentBlockStaysNearRoot)
     const Leaf block_leaf = 0;
     const Leaf write_leaf = geom.numLeaves() - 1;
     posmap.set(3, block_leaf);
-    stash.put(3, block_leaf, payloadFor(3));
+    stashio::put(stash, 3, block_leaf, payloadFor(3));
     writeOne(write_leaf);
     EXPECT_TRUE(stash.empty()) << "root must have had space";
 
@@ -122,7 +123,7 @@ TEST_F(PathIoFixture, OverflowingBlocksStayInStash)
         if (id >= geom.numBlocks())
             break;
         posmap.set(id, leaf);
-        stash.put(id, leaf, payloadFor(id));
+        stashio::put(stash, id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = stash.size();
     const std::uint64_t written = writeOne(leaf);
@@ -142,7 +143,7 @@ TEST_F(PathIoFixture, AuditPassesAfterRandomChurn)
         if (StashEntry *e = stash.find(id))
             e->leaf = next;
         else
-            stash.put(id, next, payloadFor(id));
+            stashio::put(stash, id, next, payloadFor(id));
         writeOne(cur);
     }
     EXPECT_EQ(auditTree(geom, storage, stash, posmap), "");
@@ -192,7 +193,7 @@ TEST_F(PathIoFixture, DummyAccessKeepsBlocksAndChargesOneDummy)
 {
     const Leaf leaf = 7;
     posmap.set(1, leaf);
-    stash.put(1, leaf, payloadFor(1));
+    stashio::put(stash, 1, leaf, payloadFor(1));
     writeOne(leaf);
     const mem::TrafficCounters before = meter.counters();
 
@@ -241,7 +242,7 @@ TEST_F(PathIoFixture, AuditCatchesTreeStashDuplicate)
     auto payload = payloadFor(8);
     slotio::write(storage, geom.nodeSlotBase(0), 8, leaf,
                   payload.data(), payload.size());
-    stash.put(8, leaf, payloadFor(8));
+    stashio::put(stash, 8, leaf, payloadFor(8));
     EXPECT_NE(auditTree(geom, storage, stash, posmap), "");
 }
 
@@ -370,7 +371,7 @@ TEST_F(PathIoFixture, FatTreePathHoldsMoreBlocks)
     for (BlockId id = 0; id < fat_geom.pathSlots(); ++id) {
         if (id >= fat_geom.numBlocks())
             break;
-        fat_stash.put(id, leaf, payloadFor(id));
+        stashio::put(fat_stash, id, leaf, payloadFor(id));
     }
     const std::uint64_t staged = fat_stash.size();
     const std::uint64_t written = fat_io.writePaths(&leaf, 1);

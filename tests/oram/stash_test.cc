@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/stash_io.hh"
 #include "oram/path_oram.hh"
 #include "oram/stash.hh"
 #include "util/rng.hh"
@@ -30,7 +31,7 @@ TEST(Stash, EmptyOnConstruction)
 TEST(Stash, PutFindErase)
 {
     Stash s;
-    s.put(7, 3, {1, 2, 3});
+    stashio::put(s, 7, 3, {1, 2, 3});
     ASSERT_TRUE(s.contains(7));
     StashEntry *e = s.find(7);
     ASSERT_NE(e, nullptr);
@@ -44,8 +45,8 @@ TEST(Stash, PutFindErase)
 TEST(Stash, PutOverwrites)
 {
     Stash s;
-    s.put(1, 2, {9});
-    s.put(1, 5, {8, 8});
+    stashio::put(s, 1, 2, {9});
+    stashio::put(s, 1, 5, {8, 8});
     EXPECT_EQ(s.size(), 1u);
     EXPECT_EQ(s.find(1)->leaf, 5u);
     EXPECT_EQ(s.find(1)->payload.size(), 2u);
@@ -54,8 +55,8 @@ TEST(Stash, PutOverwrites)
 TEST(Stash, PayloadLessPutKeepsExistingPayload)
 {
     Stash s;
-    s.put(1, 2, {7, 7});
-    s.put(1, 9); // leaf-only update
+    stashio::put(s, 1, 2, {7, 7});
+    s.findOrCreate(1, 9, 0); // leaf-only update
     EXPECT_EQ(s.find(1)->leaf, 9u);
     EXPECT_EQ(s.find(1)->payload, (std::vector<std::uint8_t>{7, 7}));
 }
@@ -64,7 +65,7 @@ TEST(Stash, IterationCoversAll)
 {
     Stash s;
     for (BlockId id = 0; id < 10; ++id)
-        s.put(id, id * 2);
+        s.findOrCreate(id, id * 2, 0);
     std::uint64_t seen = 0;
     for (const auto &[id, entry] : s) {
         EXPECT_EQ(entry.leaf, id * 2);
@@ -76,7 +77,7 @@ TEST(Stash, IterationCoversAll)
 TEST(Stash, MutableLeafViaIteration)
 {
     Stash s;
-    s.put(1, 0);
+    s.findOrCreate(1, 0, 0);
     for (auto &[id, entry] : s)
         entry.leaf = 42;
     EXPECT_EQ(s.find(1)->leaf, 42u);
@@ -86,8 +87,8 @@ TEST(Stash, ResidentBytesScalesWithSize)
 {
     Stash s;
     EXPECT_EQ(s.residentBytes(100), 0u);
-    s.put(1, 0);
-    s.put(2, 0);
+    s.findOrCreate(1, 0, 0);
+    s.findOrCreate(2, 0, 0);
     EXPECT_EQ(s.residentBytes(100), 2 * (8 + 8 + 100));
 }
 
@@ -192,7 +193,7 @@ TEST(Stash, RandomOpsMatchReferenceModel)
             std::vector<std::uint8_t> payload(rng.nextBounded(12));
             for (auto &b : payload)
                 b = static_cast<std::uint8_t>(rng.next());
-            s.put(id, leaf, payload);
+            stashio::put(s, id, leaf, payload);
             if (!present)
                 m.order.push_back(id);
             m.byId[id].leaf = leaf;
@@ -248,7 +249,7 @@ TEST(Stash, RandomOpsMatchReferenceModel)
           case 7: { // save/restore round trip
             const std::vector<std::uint8_t> bytes = saved(s);
             Stash copy;
-            copy.put(999999, 1, {1}); // restore replaces contents
+            stashio::put(copy, 999999, 1, {1}); // restore replaces contents
             serde::Deserializer d(bytes);
             copy.restore(d);
             ASSERT_EQ(mismatch(copy, m), "") << "restored, step " << step;
@@ -285,8 +286,8 @@ TEST(Stash, BackwardShiftAcrossWrappedChain)
     const std::vector<BlockId> head = collidingIds(1, false);
     Stash s;
     for (BlockId id : tail)
-        s.put(id, id % 7);
-    s.put(head[0], 5);
+        s.findOrCreate(id, id % 7, 0);
+    s.findOrCreate(head[0], 5, 0);
     for (BlockId gone : {tail[0], tail[1]}) {
         s.erase(gone);
         EXPECT_FALSE(s.contains(gone));
@@ -304,7 +305,7 @@ TEST(Stash, BackwardShiftAcrossWrappedChain)
 TEST(Stash, RecycledPayloadKeepsCapacityAndIsCleared)
 {
     Stash s;
-    s.put(1, 3, std::vector<std::uint8_t>(64, 0xAB));
+    stashio::put(s, 1, 3, std::vector<std::uint8_t>(64, 0xAB));
     const std::uint8_t *buffer = s.find(1)->payload.data();
     s.erase(1);
 
@@ -319,9 +320,9 @@ TEST(Stash, RecycledPayloadKeepsCapacityAndIsCleared)
     zeroed.pinned = true;
     zeroed.payload.assign(64, 0xCD);
     s.erase(2);
-    EXPECT_TRUE(s.put(3, 0).payload.empty());
+    EXPECT_TRUE(s.findOrCreate(3, 0, 0).payload.empty());
     s.erase(3);
-    EXPECT_EQ(s.put(4, 0, {1, 2}).payload,
+    EXPECT_EQ(stashio::put(s, 4, 0, {1, 2}).payload,
               (std::vector<std::uint8_t>{1, 2}));
     EXPECT_FALSE(s.find(4)->pinned);
 }

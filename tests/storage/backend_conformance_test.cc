@@ -335,6 +335,62 @@ TEST_P(BackendConformance, IoStatsCountSlotsAndBytes)
     EXPECT_EQ(e.writeOps, 0u);
 }
 
+TEST_P(BackendConformance, DuplicateSlotInOneWriteKeepsLastRecord)
+{
+    // One vectored write that names a slot twice lands its last
+    // record, on mapped and staged trees alike; sealed, each copy
+    // takes its own epoch and the last one opens.
+    auto g = smallGeom();
+    auto s = makeStorage(g);
+    const auto first = somePayload(0x11);
+    const auto last = somePayload(0x22);
+    const std::vector<ServerStorage::SlotWriteOp> ops = {
+        {6, 40, 1, first.data(), first.size()},
+        {9, 41, 2, first.data(), first.size()},
+        {6, 42, 3, last.data(), last.size()},
+    };
+    s->writeSlots(ops.data(), ops.size());
+    StoredBlock b;
+    slotio::read(*s, 6, b);
+    EXPECT_EQ(b.id, 42u);
+    EXPECT_EQ(b.leaf, 3u);
+    EXPECT_EQ(b.payload, last);
+    slotio::read(*s, 9, b);
+    EXPECT_EQ(b.id, 41u);
+    EXPECT_EQ(b.payload, first);
+}
+
+TEST_P(BackendConformance, CryptoLedgerCountsBatches)
+{
+    const bool encrypt = std::get<1>(GetParam());
+    auto g = smallGeom();
+    auto s = makeStorage(g);
+    // A fresh tree seals every slot as a dummy at construction.
+    const CryptoStats init = s->cryptoStats();
+    EXPECT_EQ(init.recordsSealed, encrypt ? g.totalSlots() : 0u);
+    EXPECT_EQ(init.recordsOpened, 0u);
+
+    const std::vector<std::uint64_t> slots = {1, 2, 3, 4, 5};
+    std::vector<StoredBlock> vec;
+    s->readSlots(slots.data(), slots.size(), vec);
+    const std::vector<ServerStorage::SlotWriteOp> ops = {
+        {1, 42, 0, nullptr, 0},
+        {2, kInvalidBlock, 0, nullptr, 0},
+        {1, 43, 0, nullptr, 0},
+    };
+    s->writeSlots(ops.data(), ops.size());
+
+    const CryptoStats c = s->cryptoStats();
+    EXPECT_EQ(c.recordsOpened, encrypt ? 5u : 0u);
+    EXPECT_EQ(c.recordsSealed - init.recordsSealed, encrypt ? 3u : 0u);
+    EXPECT_GE(c.openNs, 0);
+    EXPECT_GE(c.sealNs, 0);
+    if (!encrypt) {
+        EXPECT_EQ(c.openNs, 0);
+        EXPECT_EQ(c.sealNs, 0);
+    }
+}
+
 TEST_P(BackendConformance, ResidentBytesReported)
 {
     auto g = smallGeom();
