@@ -185,6 +185,7 @@ BM_SealPath(benchmark::State &state)
         enc.decryptSlots(slots.data(), slots.size(), records.data(),
                          kRecordBytes);
         benchmark::DoNotOptimize(records.data());
+        benchmark::ClobberMemory();
     }
     if (records != plain)
         state.SkipWithError("sealed path did not open to its plaintext");
