@@ -76,6 +76,11 @@ ServerStorage::ServerStorage(
                                   nSlots)
               : crypto::Encryptor::makeDisabled())
 {
+    LAORAM_ASSERT(store, "ServerStorage needs a backend");
+    LAORAM_ASSERT(store->slots() == nSlots, "backend holds ",
+                  store->slots(), " slots, geometry needs ", nSlots);
+    LAORAM_ASSERT(store->recordBytes() == recBytes, "backend records ",
+                  store->recordBytes(), " B, storage needs ", recBytes);
     if (encrypt) {
         cryptoSource.emplace([this](obs::PullSink &out) {
             const CryptoStats c = cryptoStats();
@@ -87,11 +92,6 @@ ServerStorage::ServerStorage(
                         static_cast<std::uint64_t>(c.openNs));
         });
     }
-    LAORAM_ASSERT(store, "ServerStorage needs a backend");
-    LAORAM_ASSERT(store->slots() == nSlots, "backend holds ",
-                  store->slots(), " slots, geometry needs ", nSlots);
-    LAORAM_ASSERT(store->recordBytes() == recBytes, "backend records ",
-                  store->recordBytes(), " B, storage needs ", recBytes);
     initialise();
 }
 
@@ -206,39 +206,39 @@ ServerStorage::readSlots(const std::uint64_t *slots, std::size_t n,
                     rec + kHeaderBytes);
     };
     const std::uint8_t *base = store->mappedBase();
-    if (!base) {
-        // Staged path: the backend fills staging, which is opened
-        // and decoded in place.
-        staging.resize(n * recBytes);
-        store->readSlots(slots, n, staging.data());
-        if (enc.enabled())
-            openStaged(slots, n);
-        for (std::size_t i = 0; i < n; ++i)
-            emit(i, staging.data() + i * recBytes);
-        return;
-    }
-    store->willNeed(slots, n);
-    const WallClock::time_point t0 = WallClock::now();
-    if (!enc.enabled()) {
+    if (base && !enc.enabled()) {
+        store->willNeed(slots, n);
+        const WallClock::time_point t0 = WallClock::now();
         for (std::size_t i = 0; i < n; ++i) {
             LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
                           " out of range");
             emit(i, base + slots[i] * recBytes);
         }
-    } else {
-        // Opened in a copy, so the mapped bytes stay ciphertext.
-        staging.resize(n * recBytes);
+        store->noteMappedRead(n, elapsedNs(t0));
+        return;
+    }
+    // Stage the whole vector and open it in one batch. A mapped tree
+    // is copied out, so its bytes stay ciphertext.
+    WallClock::time_point t0{};
+    staging.resize(n * recBytes);
+    if (base) {
+        store->willNeed(slots, n);
+        t0 = WallClock::now();
         for (std::size_t i = 0; i < n; ++i) {
             LAORAM_ASSERT(slots[i] < nSlots, "slot ", slots[i],
                           " out of range");
             std::memcpy(staging.data() + i * recBytes,
                         base + slots[i] * recBytes, recBytes);
         }
-        openStaged(slots, n);
-        for (std::size_t i = 0; i < n; ++i)
-            emit(i, staging.data() + i * recBytes);
+    } else {
+        store->readSlots(slots, n, staging.data());
     }
-    store->noteMappedRead(n, elapsedNs(t0));
+    if (enc.enabled())
+        openStaged(slots, n);
+    for (std::size_t i = 0; i < n; ++i)
+        emit(i, staging.data() + i * recBytes);
+    if (base)
+        store->noteMappedRead(n, elapsedNs(t0));
 }
 
 void

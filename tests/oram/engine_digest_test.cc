@@ -181,6 +181,9 @@ runAccesses(oram::OramEngine &engine, SinkOwner *sinkOwner,
         }
     }
     readBack(engine, payloads);
+    // The sink refers to this frame's digest; later audits read slots.
+    if (sinkOwner)
+        sinkOwner->storageForTest().setAccessSink(nullptr);
     return {sink.h, countersDigest(engine), payloads.h};
 }
 
