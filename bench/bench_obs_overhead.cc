@@ -1,23 +1,21 @@
 /**
  * @file
- * Observability overhead gate: the same concurrent pipeline run three
- * ways — obs fully disabled, metrics enabled, span tracing enabled —
- * so the cost of the instrumentation is a measured number, not a
- * promise.
+ * Observability overhead gate: the same concurrent pipeline run
+ * untraced and with span tracing on, so the cost of the
+ * instrumentation is a measured number, not a promise.
  *
- * The disabled path is the contract that matters: every metric push
- * site is one predicted-not-taken branch on a relaxed atomic load
- * (pulled ledgers cost nothing until sampled), every span site one
- * branch with no clock read, so a run without
- * --metrics-out/--trace-out should sit inside run-to-run noise
- * (reported as disabled.noise_fraction from two back-to-back disabled
- * runs). The enabled phases also *reconcile*: the live counters must
- * agree exactly with the pipeline report and the engine's own traffic
- * ledger, and the trace dump must validate as Chrome-trace JSON with
- * spans from both pipeline stages — these are the hard CI gates
- * (--smoke), because correctness regressions hide behind noisy
- * percentages but reconciliation failures do not. The pulled series
- * (oram.*, storage.dram.*) are read after runOnce() has destroyed the
+ * Metrics have no off switch: the pulled series are ledgers the
+ * pipeline and engine keep anyway, read only when sampled, and the
+ * pushed ones fire at most once per window, batch or RPC. So the
+ * untraced run is the baseline, and span sites are one branch with
+ * no clock read when tracing is off (two back-to-back untraced runs
+ * give untraced.noise_fraction). Every run also *reconciles*: the
+ * live series must agree exactly with the pipeline report and the
+ * engine's own traffic ledger, and the trace dump must validate as
+ * Chrome-trace JSON with spans from both pipeline stages. These are
+ * the hard CI gates (--smoke), because correctness regressions hide
+ * behind noisy percentages but reconciliation failures do not. The
+ * series are read after runOnce() has destroyed the pipeline and the
  * engine, so they reconcile through the registry's fold-on-close.
  */
 
@@ -25,6 +23,7 @@
 #include <cmath>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -60,17 +59,52 @@ runOnce(std::uint64_t blocks, std::uint64_t window,
     cfg.lookaheadWindow = window;
     core::Laoram engine(cfg);
 
-    core::BatchPipeline pipe(engine,
-                             core::PipelineConfig{}
-                                 .withWindowAccesses(window)
-                                 .withPrepThreads(2)
-                                 .withMode(
-                                     core::PipelineMode::Concurrent));
+    core::PipelineConfig pc;
+    pc.windowAccesses = window;
+    pc.prepThreads = 2;
+    pc.mode = core::PipelineMode::Concurrent;
+    core::BatchPipeline pipe(engine, pc);
     core::TraceSource source(trace, window);
     RunOutcome out;
     out.rep = pipe.run(source);
     out.traffic = engine.meter().counters();
     out.io = engine.storageForAudit().ioStats();
+    return out;
+}
+
+/** A registry counter's value now; the deltas reconcile a run. */
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::instance().counter(name).get();
+}
+
+/**
+ * Run once and check that the live series moved by exactly what the
+ * run's report and ledgers say; fatal otherwise.
+ */
+RunOutcome
+runReconciled(std::uint64_t blocks, std::uint64_t window,
+              const std::vector<oram::BlockId> &trace)
+{
+    const char *names[] = {"pipeline.windows_served", "pipeline.fill_ns",
+                           "pipeline.stall_ns", "oram.logical_accesses",
+                           "storage.dram.slots_read"};
+    std::vector<std::uint64_t> before;
+    for (const char *name : names)
+        before.push_back(counterValue(name));
+    RunOutcome out = runOnce(blocks, window, trace);
+    const std::uint64_t want[] = {
+        out.rep.windows, static_cast<std::uint64_t>(out.rep.wallFillNs),
+        static_cast<std::uint64_t>(out.rep.wallStallNs),
+        out.traffic.logicalAccesses, out.io.slotsRead};
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        const std::uint64_t delta = counterValue(names[i]) - before[i];
+        if (delta != want[i])
+            LAORAM_FATAL("metrics reconciliation failed: ", names[i],
+                         " moved by ", delta, ", the run's report and "
+                         "ledgers say ", want[i]);
+    }
     return out;
 }
 
@@ -80,8 +114,8 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_obs_overhead",
-                   "Cost of the observability hooks: disabled vs "
-                   "metrics vs tracing");
+                   "Cost of the observability hooks: untraced vs "
+                   "traced");
     auto blocks = args.addUint("blocks", "embedding rows", 1 << 13);
     auto accesses = args.addUint("accesses", "trace length", 1 << 15);
     auto window = args.addUint("window", "pipeline window accesses",
@@ -99,66 +133,28 @@ main(int argc, char **argv)
         nWindow = 256;
     }
 
-    bench::printHeader(
-        "Observability overhead (metrics gate + span tracer)",
-        "one concurrent pipeline, three instrumentation states");
+    bench::printHeader("Observability overhead (span tracer)",
+                       "one concurrent pipeline, untraced and traced");
 
     const auto trace =
         bench::randomTrace(nBlocks, nAccesses, 1234);
     std::cout << nAccesses << " accesses over " << nBlocks
               << " blocks, window " << nWindow << ", 2 prep threads\n\n";
 
-    obs::setMetricsEnabled(false);
     obs::Tracer::instance().disable();
     obs::Tracer::instance().reset();
 
     // Warmup (first-touch page faults, thread pools) then two
-    // disabled runs: their spread is the noise floor the overhead
-    // numbers below should be read against.
+    // untraced runs: their spread is the noise floor the overhead
+    // number below should be read against.
     runOnce(nBlocks, nWindow, trace);
-    const double disabled1 =
-        runOnce(nBlocks, nWindow, trace).rep.wallTotalNs;
-    const double disabled2 =
-        runOnce(nBlocks, nWindow, trace).rep.wallTotalNs;
-    const double disabledNs = std::min(disabled1, disabled2);
-    const double noise =
-        std::abs(disabled1 - disabled2) / std::max(disabled1, disabled2);
-
-    // ---- Metrics enabled: time it, and reconcile the live counters
-    // with the run's own report — the sampled series must be the same
-    // totals the engine accounts, exactly.
-    auto &reg = obs::MetricsRegistry::instance();
-    obs::Counter &windowsServed =
-        reg.counter("pipeline.windows_served");
-    obs::Counter &logicalAccesses =
-        reg.counter("oram.logical_accesses");
-    obs::Counter &slotsRead = reg.counter("storage.dram.slots_read");
-    const std::uint64_t windowsBefore = windowsServed.get();
-    const std::uint64_t accessesBefore = logicalAccesses.get();
-    const std::uint64_t slotsBefore = slotsRead.get();
-
-    obs::setMetricsEnabled(true);
-    const RunOutcome metricsRun = runOnce(nBlocks, nWindow, trace);
-    obs::setMetricsEnabled(false);
-    const double metricsNs = metricsRun.rep.wallTotalNs;
-
-    const std::uint64_t windowsDelta =
-        windowsServed.get() - windowsBefore;
-    const std::uint64_t accessesDelta =
-        logicalAccesses.get() - accessesBefore;
-    const std::uint64_t slotsDelta = slotsRead.get() - slotsBefore;
-    if (windowsDelta != metricsRun.rep.windows)
-        LAORAM_FATAL("metrics reconciliation failed: counter saw ",
-                     windowsDelta, " windows, report says ",
-                     metricsRun.rep.windows);
-    if (accessesDelta != metricsRun.traffic.logicalAccesses)
-        LAORAM_FATAL("metrics reconciliation failed: counter saw ",
-                     accessesDelta, " accesses, traffic ledger says ",
-                     metricsRun.traffic.logicalAccesses);
-    if (slotsDelta != metricsRun.io.slotsRead)
-        LAORAM_FATAL("metrics reconciliation failed: counter saw ",
-                     slotsDelta, " slots read, backend ledger says ",
-                     metricsRun.io.slotsRead);
+    const RunOutcome untraced1 = runReconciled(nBlocks, nWindow, trace);
+    const RunOutcome untraced2 = runReconciled(nBlocks, nWindow, trace);
+    const double untraced1Ns = untraced1.rep.wallTotalNs;
+    const double untraced2Ns = untraced2.rep.wallTotalNs;
+    const double untracedNs = std::min(untraced1Ns, untraced2Ns);
+    const double noise = std::abs(untraced1Ns - untraced2Ns)
+                         / std::max(untraced1Ns, untraced2Ns);
 
     // ---- Tracing enabled: time it, then the dump must parse as
     // Chrome-trace JSON with spans from both pipeline stages (prep
@@ -166,7 +162,7 @@ main(int argc, char **argv)
     obs::Tracer &tracer = obs::Tracer::instance();
     tracer.enable(1 << 15);
     const double traceNs =
-        runOnce(nBlocks, nWindow, trace).rep.wallTotalNs;
+        runReconciled(nBlocks, nWindow, trace).rep.wallTotalNs;
     tracer.disable();
 
     std::ostringstream traceJson;
@@ -182,32 +178,27 @@ main(int argc, char **argv)
                      " events from ", threads,
                      " threads (want spans from both stages)");
 
-    const double metricsOverhead = metricsNs / disabledNs - 1.0;
-    const double traceOverhead = traceNs / disabledNs - 1.0;
+    const double traceOverhead = traceNs / untracedNs - 1.0;
     std::cout << std::fixed << std::setprecision(2)
-              << "disabled : " << disabledNs / 1e6
+              << "untraced : " << untracedNs / 1e6
               << " ms wall (run-to-run noise " << noise * 100.0
               << "%)\n"
-              << "metrics  : " << metricsNs / 1e6 << " ms wall ("
-              << metricsOverhead * 100.0 << "% vs disabled)\n"
-              << "tracing  : " << traceNs / 1e6 << " ms wall ("
-              << traceOverhead * 100.0 << "% vs disabled, "
+              << "traced   : " << traceNs / 1e6 << " ms wall ("
+              << traceOverhead * 100.0 << "% vs untraced, "
               << tracer.recorded() << " spans kept, "
               << tracer.dropped() << " dropped, " << threads
               << " threads)\n\n"
-              << "live counters reconciled with the report ("
-              << windowsDelta << " windows, " << accessesDelta
-              << " accesses, " << slotsDelta
-              << " slots read) and the trace validates as Chrome JSON —"
-              << "\nthe disabled path is one branch per site, so its "
-                 "cost stays inside the\nnoise floor above.\n";
+              << "every run's live series reconciled with its report "
+                 "and ledgers (windows, fill\nand stall ns, accesses, "
+                 "slots read; "
+              << untraced2.rep.windows
+              << " windows a run) and the trace validates as\n"
+                 "Chrome JSON.\n";
 
     bench::BenchJson json("obs_overhead");
     json.add("accesses", nAccesses);
-    json.add("disabled.wall_ms", disabledNs / 1e6);
-    json.add("disabled.noise_fraction", noise);
-    json.add("metrics.wall_ms", metricsNs / 1e6);
-    json.add("metrics.overhead_fraction", metricsOverhead);
+    json.add("untraced.wall_ms", untracedNs / 1e6);
+    json.add("untraced.noise_fraction", noise);
     json.add("trace.wall_ms", traceNs / 1e6);
     json.add("trace.overhead_fraction", traceOverhead);
     json.add("trace.events", events);

@@ -23,7 +23,6 @@
 #include "core/laoram_client.hh"
 #include "core/pipeline.hh"
 #include "oram/path_oram.hh"
-#include "serve/serve.hh"
 #include "train/embedding_table.hh"
 #include "train/toy_model.hh"
 #include "util/cli.hh"
@@ -117,9 +116,8 @@ main(int argc, char **argv)
     // --- Train through the concurrent two-stage pipeline: the
     // preprocessor thread bins the next window of samples while the
     // serving thread trains the current one, epoch by epoch. ---
-    const core::PipelineConfig pipecfg =
-        core::PipelineConfig{}.withWindowAccesses(
-            std::max<std::uint64_t>(*samples / 4, 1));
+    core::PipelineConfig pipecfg;
+    pipecfg.windowAccesses = std::max<std::uint64_t>(*samples / 4, 1);
 
     const auto t0 = oram.meter().clock().nanoseconds();
     double hidden_min = 1.0;
@@ -128,7 +126,7 @@ main(int argc, char **argv)
         const auto trace = workload::makeKaggleTrace(kp).accesses;
         epoch_loss = 0.0;
         epoch_samples = 0;
-        const auto rep = serve::serve(oram, trace, pipecfg);
+        const auto rep = core::BatchPipeline(oram, pipecfg).run(trace);
         hidden_min =
             std::min(hidden_min, rep.measuredPrepHiddenFraction);
         std::cout << "epoch " << e << ": mean loss "

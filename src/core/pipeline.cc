@@ -19,29 +19,6 @@ namespace laoram::core {
 
 namespace {
 
-/** Live pipeline metrics (process-wide; lanes share the handles). */
-struct PipelineMetrics
-{
-    obs::Counter &windows;
-    obs::Counter &fillNs;
-    obs::Counter &stallNs;
-};
-
-PipelineMetrics &
-pipelineMetrics()
-{
-    auto &reg = obs::MetricsRegistry::instance();
-    static PipelineMetrics m{
-        reg.counter("pipeline.windows_served",
-                    "windows drained through the serving stage"),
-        reg.counter("pipeline.fill_ns",
-                    "serve-thread wait for each run's first window"),
-        reg.counter("pipeline.stall_ns",
-                    "serve-thread waits after the pipeline fill"),
-    };
-    return m;
-}
-
 /** What travels over the reorder window: a schedule + its prep cost. */
 struct PreparedWindow
 {
@@ -58,6 +35,29 @@ struct PrepThreadLedger
 };
 
 } // namespace
+
+/**
+ * One run's serving-stage ledger, written by the serving thread only:
+ * the report reads it at the end and the registry pulls it live.
+ */
+struct BatchPipeline::RunLedger
+{
+    obs::Tally<std::uint64_t> windows;
+    obs::Tally<std::uint64_t> fillNs;  ///< wait for the first window
+    obs::Tally<std::uint64_t> stallNs; ///< waits after the fill
+
+    obs::MetricsSource source{[this](obs::PullSink &out) {
+        out.counter("pipeline.windows_served",
+                    "windows drained through the serving stage",
+                    windows);
+        out.counter("pipeline.fill_ns",
+                    "serve-thread wait for each run's first window",
+                    fillNs);
+        out.counter("pipeline.stall_ns",
+                    "serve-thread waits after the pipeline fill",
+                    stallNs);
+    }};
+};
 
 void
 PipelineConfig::validate() const
@@ -106,9 +106,13 @@ BatchPipeline::run(ServeSource &source)
     cache::CacheStats cacheStart;
     if (const cache::HotEmbeddingCache *c = engine.hotCache())
         cacheStart = c->stats();
+    RunLedger ledger;
     PipelineReport rep = cfg.mode == PipelineMode::Concurrent
-                             ? runConcurrent(source)
-                             : runSimulated(source);
+                             ? runConcurrent(source, ledger)
+                             : runSimulated(source, ledger);
+    rep.windows = ledger.windows;
+    rep.wallFillNs = static_cast<double>(ledger.fillNs);
+    rep.wallStallNs = static_cast<double>(ledger.stallNs);
     if (StreamingHistogram *hist = source.latencyHistogram())
         rep.latency = hist->report();
     if (const cache::HotEmbeddingCache *c = engine.hotCache())
@@ -133,7 +137,6 @@ BatchPipeline::finishModeledReport(PipelineReport &rep,
 {
     if (prepNs.empty())
         return;
-    rep.windows = prepNs.size();
     for (double ns : prepNs)
         rep.totalPrepNs += ns;
     for (double ns : accessNs)
@@ -165,7 +168,7 @@ BatchPipeline::finishModeledReport(PipelineReport &rep,
 }
 
 PipelineReport
-BatchPipeline::runSimulated(ServeSource &source)
+BatchPipeline::runSimulated(ServeSource &source, RunLedger &ledger)
 {
     PipelineReport rep;
     std::vector<double> prepNs;
@@ -196,8 +199,7 @@ BatchPipeline::runSimulated(ServeSource &source)
         accessNs.push_back(engine.meter().clock().nanoseconds()
                            - before);
         source.windowServed(sw.windowIndex);
-        if (obs::metricsEnabled())
-            pipelineMetrics().windows.inc();
+        ++ledger.windows;
         if (cfg.windowBoundaryHook)
             cfg.windowBoundaryHook(sw.windowIndex);
     }
@@ -211,7 +213,7 @@ BatchPipeline::runSimulated(ServeSource &source)
 }
 
 PipelineReport
-BatchPipeline::runConcurrent(ServeSource &source)
+BatchPipeline::runConcurrent(ServeSource &source, RunLedger &ledger)
 {
     PipelineReport rep;
     const std::size_t poolSize = cfg.prepThreads;
@@ -306,8 +308,6 @@ BatchPipeline::runConcurrent(ServeSource &source)
     std::vector<double> prepNsModeled;
     std::vector<double> accessNsModeled;
     std::vector<std::int64_t> prepWall;
-    std::int64_t fillNs = 0;
-    std::int64_t stallNs = 0;
     obs::traceSetThreadName("serve");
     try {
         PreparedWindow item;
@@ -321,14 +321,9 @@ BatchPipeline::runConcurrent(ServeSource &source)
             obs::traceRecordEndingNow("reorder-wait", waited,
                                       item.sched.windowIndex);
             if (prepWall.empty())
-                fillNs = waited; // pipeline fill, not a stall
+                ledger.fillNs = waited; // pipeline fill, not a stall
             else
-                stallNs += waited;
-            if (obs::metricsEnabled()) {
-                PipelineMetrics &m = pipelineMetrics();
-                (prepWall.empty() ? m.fillNs : m.stallNs)
-                    .add(static_cast<std::uint64_t>(waited));
-            }
+                ledger.stallNs += waited;
             // Hand the freed slot back only now: stage 1's next burst
             // lands inside the serve interval, not inside the wait we
             // just measured. If serveWindow throws, the token's
@@ -349,8 +344,7 @@ BatchPipeline::runConcurrent(ServeSource &source)
                 elapsedNs(serveStart, WallClock::now());
             obs::traceRecordEndingNow("serve-window", servedNs,
                                       item.sched.windowIndex);
-            if (obs::metricsEnabled())
-                pipelineMetrics().windows.inc();
+            ++ledger.windows;
             rep.wallServeNs += static_cast<double>(servedNs);
             accessNsModeled.push_back(
                 engine.meter().clock().nanoseconds() - simBefore);
@@ -370,8 +364,6 @@ BatchPipeline::runConcurrent(ServeSource &source)
     if (prepError)
         std::rethrow_exception(prepError);
 
-    rep.wallFillNs = static_cast<double>(fillNs);
-    rep.wallStallNs = static_cast<double>(stallNs);
     rep.wallReorderStallNs =
         static_cast<double>(reorder.stats().headOfLineWaitNs);
 
@@ -415,9 +407,9 @@ BatchPipeline::runConcurrent(ServeSource &source)
     const std::int64_t hideableWall =
         prepWall.empty() ? 0 : prepTotalNs - prepWall.front();
     if (hideableWall > 0) {
+        const double hideable = static_cast<double>(hideableWall);
         rep.measuredPrepHiddenFraction = std::clamp(
-            static_cast<double>(hideableWall - stallNs)
-                / static_cast<double>(hideableWall),
+            (hideable - static_cast<double>(ledger.stallNs)) / hideable,
             0.0, 1.0);
     }
 

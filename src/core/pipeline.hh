@@ -123,65 +123,6 @@ struct PipelineConfig
      */
     std::function<void(std::uint64_t w)> windowBoundaryHook;
 
-    // ---- Named setter-style defaults: build a config by chaining
-    // ---- only the knobs that differ from the defaults, e.g.
-    // ----   PipelineConfig{}.withWindowAccesses(256).withPrepThreads(4)
-    PipelineConfig &
-    withWindowAccesses(std::uint64_t v)
-    {
-        windowAccesses = v;
-        return *this;
-    }
-
-    PipelineConfig &
-    withPreprocessCost(double nsPerAccess)
-    {
-        preprocessNsPerAccess = nsPerAccess;
-        return *this;
-    }
-
-    PipelineConfig &
-    withMode(PipelineMode m)
-    {
-        mode = m;
-        return *this;
-    }
-
-    PipelineConfig &
-    withQueueDepth(std::size_t v)
-    {
-        queueDepth = v;
-        return *this;
-    }
-
-    PipelineConfig &
-    withPrepThreads(std::size_t v)
-    {
-        prepThreads = v;
-        return *this;
-    }
-
-    PipelineConfig &
-    withPrepLoad(double nsPerAccess)
-    {
-        prepLoadNsPerAccess = nsPerAccess;
-        return *this;
-    }
-
-    PipelineConfig &
-    withFirstWindow(std::uint64_t v)
-    {
-        firstWindowIndex = v;
-        return *this;
-    }
-
-    PipelineConfig &
-    withWindowBoundaryHook(std::function<void(std::uint64_t)> hook)
-    {
-        windowBoundaryHook = std::move(hook);
-        return *this;
-    }
-
     /**
      * Reject incoherent knob combinations with a clear LAORAM_FATAL
      * (user error, exit 1) instead of a silent fallback: zero window
@@ -321,8 +262,10 @@ class BatchPipeline
     PipelineReport run(const std::vector<BlockId> &trace);
 
   private:
-    PipelineReport runConcurrent(ServeSource &source);
-    PipelineReport runSimulated(ServeSource &source);
+    struct RunLedger;
+
+    PipelineReport runConcurrent(ServeSource &source, RunLedger &ledger);
+    PipelineReport runSimulated(ServeSource &source, RunLedger &ledger);
 
     /** Fill the modeled report fields from per-window stage costs. */
     static void finishModeledReport(PipelineReport &rep,

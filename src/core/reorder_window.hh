@@ -40,33 +40,6 @@
 
 namespace laoram::core {
 
-namespace detail {
-
-/** Live reorder metrics, shared by every ReorderWindow<T> instance. */
-struct ReorderMetrics
-{
-    obs::Gauge &buffered;
-    obs::Counter &holWaits;
-    obs::Counter &holWaitNs;
-};
-
-inline ReorderMetrics &
-reorderMetrics()
-{
-    auto &reg = obs::MetricsRegistry::instance();
-    static ReorderMetrics m{
-        reg.gauge("pipeline.reorder.buffered",
-                  "prepared windows buffered in reorder stages"),
-        reg.counter("pipeline.reorder.hol_waits",
-                    "consumer waits with later windows buffered"),
-        reg.counter("pipeline.reorder.hol_wait_ns",
-                    "time spent in head-of-line waits"),
-    };
-    return m;
-}
-
-} // namespace detail
-
 /**
  * Bounded blocking reorder buffer; safe for concurrent push/pop/close
  * (many producers, one consumer).
@@ -89,8 +62,9 @@ class ReorderWindow
          */
         std::int64_t headOfLineWaitNs = 0;
 
-        std::uint64_t delivered = 0;    ///< items popped in sequence
-        std::uint64_t maxOccupancy = 0; ///< peak buffered items
+        std::uint64_t headOfLineWaits = 0; ///< waits counted above
+        std::uint64_t delivered = 0;       ///< items popped in sequence
+        std::uint64_t maxOccupancy = 0;    ///< peak buffered items
     };
 
     /**
@@ -188,8 +162,6 @@ class ReorderWindow
         slot.occupied = true;
         ++occupancy;
         st.maxOccupancy = std::max(st.maxOccupancy, occupancy);
-        if (obs::metricsEnabled())
-            detail::reorderMetrics().buffered.inc();
         const bool ready = seq == nextSeq;
         lock.unlock();
         if (ready)
@@ -307,13 +279,7 @@ class ReorderWindow
             st.popWaitNs += waited;
             if (headOfLine) {
                 st.headOfLineWaitNs += waited;
-                if (obs::metricsEnabled()) {
-                    detail::ReorderMetrics &m =
-                        detail::reorderMetrics();
-                    m.holWaits.inc();
-                    m.holWaitNs.add(
-                        static_cast<std::uint64_t>(waited));
-                }
+                ++st.headOfLineWaits;
             }
         }
         return true;
@@ -330,8 +296,6 @@ class ReorderWindow
         --occupancy;
         ++nextSeq;
         ++st.delivered;
-        if (obs::metricsEnabled())
-            detail::reorderMetrics().buffered.dec();
     }
 
     mutable std::mutex mu;
@@ -343,6 +307,19 @@ class ReorderWindow
     std::uint64_t occupancy = 0;
     bool closed = false;
     Stats st;
+
+    /** Publishes st and occupancy; declared after what it reads. */
+    obs::MetricsSource source{[this](obs::PullSink &out) {
+        const Stats now = stats();
+        out.level("pipeline.reorder.buffered",
+                  "prepared windows buffered in reorder stages", size());
+        out.counter("pipeline.reorder.hol_waits",
+                    "consumer waits with later windows buffered",
+                    now.headOfLineWaits);
+        out.counter("pipeline.reorder.hol_wait_ns",
+                    "time spent in head-of-line waits",
+                    static_cast<std::uint64_t>(now.headOfLineWaitNs));
+    }};
 };
 
 } // namespace laoram::core

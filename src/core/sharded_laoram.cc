@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -17,15 +16,6 @@
 namespace laoram::core {
 
 namespace {
-
-/** Lanes (shard pipelines) in flight right now across the pool. */
-obs::Gauge &
-lanesActiveGauge()
-{
-    static obs::Gauge &g = obs::MetricsRegistry::instance().gauge(
-        "pipeline.lanes_active", "shard pipelines currently serving");
-    return g;
-}
 
 /** runTrace's ShardedServeSource: one TraceSource per sub-trace. */
 class TraceShardSource final : public ShardedServeSource
@@ -425,8 +415,7 @@ ShardedLaoram::serve(ShardedServeSource &source)
                 // First-wins naming: the worker keeps the name of the
                 // first lane it serves even as it claims more shards.
                 obs::traceSetThreadName("lane-" + std::to_string(s));
-                if (obs::metricsEnabled())
-                    lanesActiveGauge().inc();
+                const obs::LevelHold active(lanesActive_);
                 obs::TraceSpan laneSpan("lane", s);
                 ShardReport &sr = rep.shards[s];
                 const std::uint64_t prepBefore =
@@ -443,8 +432,6 @@ ShardedLaoram::serve(ShardedServeSource &source)
                     engines_[s]->meter().counters().since(before);
                 sr.simNs = engines_[s]->meter().clock().nanoseconds()
                            - simBefore;
-                if (obs::metricsEnabled())
-                    lanesActiveGauge().dec();
             } catch (...) {
                 std::lock_guard<std::mutex> lock(errorMu);
                 if (!firstError)

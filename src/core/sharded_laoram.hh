@@ -28,6 +28,7 @@
 #ifndef LAORAM_CORE_SHARDED_LAORAM_HH
 #define LAORAM_CORE_SHARDED_LAORAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,6 +36,7 @@
 
 #include "core/pipeline.hh"
 #include "mem/traffic_meter.hh"
+#include "obs/metrics.hh"
 #include "util/serde.hh"
 
 namespace laoram::core {
@@ -402,6 +404,14 @@ class ShardedLaoram
     ShardSplitter splitter_;
     std::vector<std::unique_ptr<Laoram>> engines_;
     Laoram::TouchFn touchFn_;
+
+    /** Shard pipelines serving right now, across serve() calls. */
+    std::atomic<std::uint64_t> lanesActive_{0};
+    obs::MetricsSource metrics_{[this](obs::PullSink &out) {
+        out.level("pipeline.lanes_active",
+                  "shard pipelines currently serving",
+                  lanesActive_.load(std::memory_order_relaxed));
+    }};
 };
 
 } // namespace laoram::core

@@ -7,16 +7,6 @@
 
 namespace laoram::obs {
 
-namespace detail {
-std::atomic<bool> gMetricsEnabled{false};
-} // namespace detail
-
-void
-setMetricsEnabled(bool on)
-{
-    detail::gMetricsEnabled.store(on, std::memory_order_relaxed);
-}
-
 namespace {
 
 /** Bit width of @p v: 0 for 0, else 1 + floor(log2 v). */
@@ -73,16 +63,15 @@ struct MetricsRegistry::Entry
     // Exactly one of these is live, by kind; unique_ptr members keep
     // handle addresses stable as `entries` grows.
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
+    std::unique_ptr<Gauge> gauge; ///< closed sources' high-water fold
     std::unique_ptr<Histogram> histogram;
 
-    /** A gauge's level; a high-water gauge takes @p pulled's max. */
+    /** A gauge's value: @p pulled, or the fold's max with it. */
     std::int64_t
     level(std::uint64_t pulled) const
     {
-        return highWater ? std::max(gauge->get(),
-                                    static_cast<std::int64_t>(pulled))
-                         : gauge->get();
+        const auto live = static_cast<std::int64_t>(pulled);
+        return highWater ? std::max(gauge->get(), live) : live;
     }
 };
 
@@ -138,12 +127,6 @@ MetricsRegistry::counter(const std::string &name,
     return *findOrCreate(name, help, Kind::Counter).counter;
 }
 
-Gauge &
-MetricsRegistry::gauge(const std::string &name, const std::string &help)
-{
-    return *findOrCreate(name, help, Kind::Gauge).gauge;
-}
-
 Histogram &
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &help)
@@ -164,9 +147,10 @@ MetricsSource::MetricsSource(Collect collect)
     for (const PullSink::Value &v : sink.values) {
         const std::size_t i = reg.findOrCreateLocked(
             v.name, v.help,
-            v.highWater ? MetricsRegistry::Kind::Gauge
-                        : MetricsRegistry::Kind::Counter);
-        reg.entries[i]->highWater = v.highWater;
+            v.kind == PullSink::Kind::Counter
+                ? MetricsRegistry::Kind::Counter
+                : MetricsRegistry::Kind::Gauge);
+        reg.entries[i]->highWater = v.kind == PullSink::Kind::HighWater;
         entries.push_back(i);
     }
     reg.sources.push_back(this);
@@ -176,7 +160,8 @@ MetricsSource::~MetricsSource()
 {
     // One pullMu section from the last collect to the removal, so a
     // concurrent sample sees this source either live or folded, never
-    // both and never neither.
+    // both and never neither. Levels are not folded: a closed source
+    // holds nothing.
     MetricsRegistry &reg = MetricsRegistry::instance();
     std::lock_guard<std::mutex> pull(reg.pullMu);
     PullSink sink;
@@ -185,9 +170,9 @@ MetricsSource::~MetricsSource()
     for (std::size_t k = 0; k < sink.values.size(); ++k) {
         const PullSink::Value &v = sink.values[k];
         MetricsRegistry::Entry &e = *reg.entries[entries[k]];
-        if (v.highWater)
+        if (v.kind == PullSink::Kind::HighWater)
             e.gauge->setMax(static_cast<std::int64_t>(v.value));
-        else
+        else if (v.kind == PullSink::Kind::Counter)
             e.counter->add(v.value);
     }
     reg.sources.erase(
@@ -209,7 +194,7 @@ MetricsRegistry::pullSources() const
             if (pulled.size() <= i)
                 pulled.resize(i + 1, 0);
             const std::uint64_t v = sink.values[k].value;
-            pulled[i] = sink.values[k].highWater
+            pulled[i] = sink.values[k].kind == PullSink::Kind::HighWater
                             ? std::max(pulled[i], v)
                             : pulled[i] + v;
         }

@@ -6,20 +6,24 @@
  *
  * Design contract:
  *
- *  - A subsystem that keeps a ledger of its own (TrafficMeter,
- *    SlotBackend's IoStats, the hot cache's CacheStats) is *pulled*:
- *    it holds a MetricsSource whose callback reports the ledger
- *    whenever the registry is sampled, so no record site pushes a
- *    second copy. Pulled counters sum over sources, high-water
- *    gauges take the max, and a closing source folds its final
- *    values into the registry's handle of the same name, so counters
- *    stay monotonic past the life of any one engine.
- *  - Sites that keep no ledger (pipeline, reorder window, frontend,
- *    sharded lanes, the remote node) push into handles: registered
- *    once under a mutex, returned as stable references, updated with
- *    relaxed atomics. Each such site guards its update block with one
- *    branch on metricsEnabled(), so a run without --metrics-out pays
- *    one predicted-not-taken branch per site (bench_obs_overhead).
+ *  - A subsystem that keeps a ledger of its own is *pulled*: it holds
+ *    a MetricsSource whose callback reports the ledger whenever the
+ *    registry is sampled, so no record site pushes a second copy.
+ *    That covers the engine's TrafficMeter, SlotBackend's IoStats,
+ *    the crypto and hot-cache ledgers, the pipeline's run ledger, the
+ *    reorder window's Stats, the frontend's session count, and every
+ *    level (queue depth, lanes or connections in flight, writes in
+ *    the remote window). Pulled counters sum over sources and
+ *    high-water gauges take the max; a closing source folds both
+ *    into the registry's handle of the same name, so counters stay
+ *    monotonic past the life of any one engine. Levels sum over live
+ *    sources only: a closed source holds nothing.
+ *  - Events no owner counts (rejects, batch and window sizes, node
+ *    connections, RPCs, replay discards, reconnects) push into
+ *    handles: registered once under a mutex, returned as stable
+ *    references, updated with relaxed atomics. Each fires at most
+ *    once per batch, window, RPC or connection, never per slot, so
+ *    the push costs nothing a run would notice and needs no gate.
  */
 
 #ifndef LAORAM_OBS_METRICS_HH
@@ -37,26 +41,14 @@
 
 namespace laoram::obs {
 
-namespace detail {
-extern std::atomic<bool> gMetricsEnabled;
-} // namespace detail
-
 /**
- * The hot-path gate for push sites: they wrap their updates in
- * `if (obs::metricsEnabled()) { ... }`. A relaxed load of one global
- * atomic bool — set once at startup, before traffic — is the entire
- * disabled-path cost.
+ * No-op: metrics no longer have an enable switch (see the file
+ * comment). Kept only because the perfbench serve runner still calls
+ * it; remove it with that call.
  */
-inline bool
-metricsEnabled()
-{
-    return detail::gMetricsEnabled.load(std::memory_order_relaxed);
-}
+inline void setMetricsEnabled(bool) {}
 
-/** Flip the gate (ObsSession at startup; tests). */
-void setMetricsEnabled(bool on);
-
-/** Monotonic counter (relaxed increments; no hot-path gate inside). */
+/** Monotonic counter (relaxed increments). */
 class Counter
 {
   public:
@@ -78,26 +70,14 @@ class Counter
     std::atomic<std::uint64_t> v{0};
 };
 
-/** Signed instantaneous level (queue depths, in-flight windows). */
+/**
+ * High-water mark: where the registry folds the peaks of closed
+ * sources (e.g. stash peak).
+ */
 class Gauge
 {
   public:
-    void
-    add(std::int64_t d)
-    {
-        v.fetch_add(d, std::memory_order_relaxed);
-    }
-
-    void inc() { add(1); }
-    void dec() { add(-1); }
-
-    void
-    set(std::int64_t x)
-    {
-        v.store(x, std::memory_order_relaxed);
-    }
-
-    /** Raise to @p x if larger (high-water marks, e.g. stash peak). */
+    /** Raise to @p x if larger. */
     void
     setMax(std::int64_t x)
     {
@@ -200,11 +180,19 @@ class Tally
  */
 struct PullSink
 {
+    /** How the registry combines one series over its sources. */
+    enum class Kind : std::uint8_t
+    {
+        Counter,   ///< summed; folded into the handle on close
+        HighWater, ///< max; folded into the handle on close
+        Level,     ///< summed over live sources; never folded
+    };
+
     struct Value
     {
         std::string name;
         const char *help;
-        bool highWater; ///< max over sources, else a summed counter
+        Kind kind;
         std::uint64_t value;
     };
 
@@ -213,14 +201,43 @@ struct PullSink
     void
     counter(std::string name, const char *help, std::uint64_t value)
     {
-        values.push_back({std::move(name), help, false, value});
+        values.push_back({std::move(name), help, Kind::Counter, value});
     }
 
     void
     highWater(std::string name, const char *help, std::uint64_t value)
     {
-        values.push_back({std::move(name), help, true, value});
+        values.push_back(
+            {std::move(name), help, Kind::HighWater, value});
     }
+
+    void
+    level(std::string name, const char *help, std::uint64_t value)
+    {
+        values.push_back({std::move(name), help, Kind::Level, value});
+    }
+};
+
+/**
+ * Counts one on @p level for its lifetime, so a holder that unwinds
+ * still lowers it: the RAII form of a level several threads raise at
+ * once (lanes or connections in flight).
+ */
+class LevelHold
+{
+  public:
+    explicit LevelHold(std::atomic<std::uint64_t> &level) : level(level)
+    {
+        level.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    ~LevelHold() { level.fetch_sub(1, std::memory_order_relaxed); }
+
+    LevelHold(const LevelHold &) = delete;
+    LevelHold &operator=(const LevelHold &) = delete;
+
+  private:
+    std::atomic<std::uint64_t> &level;
 };
 
 /**
@@ -262,9 +279,10 @@ struct MetricsSnapshot
 };
 
 /**
- * The process-wide registry. counter()/gauge()/histogram() register
- * on first use and return the same stable handle for the same name
- * ever after (help text of the first registration wins).
+ * The process-wide registry. counter()/histogram() register on first
+ * use and return the same stable handle for the same name ever after
+ * (help text of the first registration wins). Gauges come only from
+ * sources.
  */
 class MetricsRegistry
 {
@@ -273,7 +291,6 @@ class MetricsRegistry
 
     Counter &counter(const std::string &name,
                      const std::string &help = "");
-    Gauge &gauge(const std::string &name, const std::string &help = "");
     Histogram &histogram(const std::string &name,
                          const std::string &help = "");
 

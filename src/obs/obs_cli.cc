@@ -115,10 +115,6 @@ ObsSession::ObsSession(const ObsConfig &config) : config(config)
     else
         applyLogLevelFromEnv();
 
-    const bool wantMetrics =
-        !config.metricsOut.empty() || !config.metricsProm.empty();
-    if (wantMetrics)
-        setMetricsEnabled(true);
     if (!config.metricsOut.empty()) {
         sampler = std::make_unique<MetricsSampler>(
             MetricsRegistry::instance(),

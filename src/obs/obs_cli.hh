@@ -82,9 +82,9 @@ bool applyLogLevelFromEnv();
 
 /**
  * RAII activation of the configured observability surface: applies
- * the log level (flag, else LAORAM_LOG_LEVEL), flips the metrics
- * gate and starts the sampler when --metrics-out/--metrics-prom ask
- * for output, and enables the tracer when --trace-out does.
+ * the log level (flag, else LAORAM_LOG_LEVEL), starts the sampler
+ * when --metrics-out asks for it, and enables the tracer when
+ * --trace-out does.
  * finish() stops the sampler (final reconciling sample), writes the
  * Prometheus exposition and the trace file.
  */

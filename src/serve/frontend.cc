@@ -15,11 +15,9 @@ namespace laoram::serve {
 
 namespace {
 
-/** Live frontend metrics (process-wide; lanes share the handles). */
+/** Frontend events no ledger counts (process-wide; lanes share). */
 struct FrontendMetrics
 {
-    obs::Counter &sessions;
-    obs::Gauge &admissionDepth;
     obs::Counter &rejects;
     obs::Histogram &batchOps;
     obs::Histogram &windowOps;
@@ -30,9 +28,6 @@ frontendMetrics()
 {
     auto &reg = obs::MetricsRegistry::instance();
     static FrontendMetrics m{
-        reg.counter("serve.sessions", "client sessions opened"),
-        reg.gauge("serve.admission_depth",
-                  "operations admitted but not yet coalesced"),
         reg.counter("serve.rejects",
                     "operations refused at admission"),
         reg.histogram("serve.batch_ops",
@@ -135,8 +130,6 @@ class ServeFrontend::ShardLane final : public core::ServeSource
                     continue; // nothing pending at the flush point
                 break;        // cut the partial window now
             }
-            if (obs::metricsEnabled())
-                frontendMetrics().admissionDepth.dec();
             // Hot-cache fast path: when the row is resident and no
             // earlier *planned* operation on this id is still in
             // flight (the eligibility gate that preserves per-id
@@ -198,8 +191,7 @@ class ServeFrontend::ShardLane final : public core::ServeSource
         }
         if (out.accesses.empty())
             return false;
-        if (obs::metricsEnabled())
-            frontendMetrics().windowOps.record(out.accesses.size());
+        frontendMetrics().windowOps.record(out.accesses.size());
         out.windowIndex = windowsEmitted++;
         out.traceOffset = accessesEmitted;
         accessesEmitted += out.accesses.size();
@@ -371,6 +363,17 @@ ServeFrontend::ServeFrontend(core::ShardedLaoram &engine,
     for (std::uint32_t s = 0; s < engine.numShards(); ++s)
         lanes.push_back(std::make_unique<ShardLane>(
             window, cfg.admissionOps, engine.shard(s).hotCache()));
+    // Registered once `lanes` stops growing: the sampler walks it.
+    // A pending flush() cut sits in a queue like an operation.
+    metrics.emplace([this](obs::PullSink &out) {
+        out.counter("serve.sessions", "client sessions opened",
+                    nextSession.load(std::memory_order_relaxed));
+        std::uint64_t queued = 0;
+        for (const std::unique_ptr<ShardLane> &lane : lanes)
+            queued += lane->admission().size();
+        out.level("serve.admission_depth",
+                  "operations admitted but not yet coalesced", queued);
+    });
 }
 
 ServeFrontend::~ServeFrontend()
@@ -388,8 +391,6 @@ ServeFrontend::~ServeFrontend()
 Session
 ServeFrontend::session()
 {
-    if (obs::metricsEnabled())
-        frontendMetrics().sessions.inc();
     return Session(*this, nextSession.fetch_add(
                               1, std::memory_order_relaxed));
 }
@@ -420,8 +421,7 @@ ServeFrontend::submit(Batch batch)
     state->remaining.store(
         static_cast<std::uint32_t>(batch.ops.size()),
         std::memory_order_relaxed);
-    if (obs::metricsEnabled())
-        frontendMetrics().batchOps.record(batch.ops.size());
+    frontendMetrics().batchOps.record(batch.ops.size());
 
     const WallClock::time_point now = WallClock::now();
     for (std::size_t i = 0; i < batch.ops.size(); ++i) {
@@ -451,15 +451,12 @@ ServeFrontend::submit(Batch batch)
             // stop): fail the batch. Operations already admitted
             // still serve — their side effects apply — but the
             // rejected flag makes the last completer fail the future.
-            if (obs::metricsEnabled())
-                frontendMetrics().rejects.add(batch.ops.size() - i);
+            frontendMetrics().rejects.add(batch.ops.size() - i);
             state->rejected.store(true, std::memory_order_release);
             state->complete(
                 static_cast<std::uint32_t>(batch.ops.size() - i));
             break;
         }
-        if (obs::metricsEnabled())
-            frontendMetrics().admissionDepth.inc();
     }
     return fut;
 }

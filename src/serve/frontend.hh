@@ -50,10 +50,12 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/sharded_laoram.hh"
+#include "obs/metrics.hh"
 #include "serve/request.hh"
 
 namespace laoram::serve {
@@ -165,6 +167,9 @@ class ServeFrontend final : public core::ShardedServeSource
     std::atomic<std::uint64_t> nextSession{0};
     bool started = false;
     bool stopped = false;
+
+    /** Sessions and admission depth; declared after what it reads. */
+    std::optional<obs::MetricsSource> metrics;
 };
 
 } // namespace laoram::serve

@@ -22,15 +22,6 @@ namespace {
 constexpr std::uint32_t kMaxFrameBytes = 1u << 30; ///< 1 GiB sanity cap
 constexpr std::uint8_t kResponseBit = 0x80;
 
-obs::Gauge &
-inflightWritesGauge()
-{
-    static obs::Gauge &g = obs::MetricsRegistry::instance().gauge(
-        "storage.remote.inflight_writes",
-        "async write/flush RPCs parked in the pipelining window");
-    return g;
-}
-
 // node.* metrics: the storage-node side of the link (also live for a
 // self-hosted in-process node, which runs the same frame loop).
 
@@ -41,15 +32,6 @@ nodeConnectionsCounter()
         "node.connections",
         "client connections accepted by the remote-KV node");
     return c;
-}
-
-obs::Gauge &
-nodeActiveConnectionsGauge()
-{
-    static obs::Gauge &g = obs::MetricsRegistry::instance().gauge(
-        "node.active_connections",
-        "remote-KV node connections currently being served");
-    return g;
 }
 
 obs::Counter &
@@ -315,8 +297,7 @@ RemoteKvServer::admitMutation(std::uint64_t sessionId,
     std::lock_guard<std::mutex> lock(sessionMu);
     std::uint64_t &highWater = sessionHighWater[sessionId];
     if (seq <= highWater) {
-        if (obs::metricsEnabled())
-            nodeReplayDiscardsCounter().inc();
+        nodeReplayDiscardsCounter().inc();
         return false;
     }
     highWater = seq;
@@ -344,10 +325,8 @@ RemoteKvServer::serveConnection(int fd)
     std::vector<std::uint8_t> resp;
     std::vector<std::uint64_t> slots;
 
-    if (obs::metricsEnabled()) {
-        nodeConnectionsCounter().inc();
-        nodeActiveConnectionsGauge().inc();
-    }
+    nodeConnectionsCounter().inc();
+    const obs::LevelHold active(activeConnections);
 
     /** Replay session bound to this connection by its Hello (0 until
      *  then, and forever for a self-hosted client, which sends 0). */
@@ -376,8 +355,7 @@ RemoteKvServer::serveConnection(int fd)
         appendU64(resp, seq);
         bool ok = true;
 
-        if (obs::metricsEnabled())
-            nodeRpcsCounter().inc();
+        nodeRpcsCounter().inc();
 
         switch (static_cast<RemoteOp>(op)) {
           case RemoteOp::Hello: {
@@ -519,8 +497,6 @@ RemoteKvServer::serveConnection(int fd)
     // owned by RemoteKvServer::shutdown(), since a second shutdown
     // is harmless but a double-close races with fd reuse.
     ::shutdown(fd, SHUT_RDWR);
-    if (obs::metricsEnabled())
-        nodeActiveConnectionsGauge().dec();
 }
 
 // ==================================================== RemoteKvBackend
@@ -730,8 +706,7 @@ RemoteKvBackend::recoverConnection(const char *what)
         if (replayed)
             break;
     }
-    if (obs::metricsEnabled())
-        nodeClientReconnectsCounter().inc();
+    nodeClientReconnectsCounter().inc();
 }
 
 std::vector<std::uint8_t> &
@@ -843,10 +818,7 @@ RemoteKvBackend::reapCompletedWrites()
         pendingWrites.front().get(); // ack body is empty
         pendingWrites.pop_front();
     }
-    if (obs::metricsEnabled()) {
-        inflightWritesGauge().set(
-            static_cast<std::int64_t>(pendingWrites.size()));
-    }
+    inflightWrites = pendingWrites.size();
 }
 
 void
@@ -896,10 +868,7 @@ RemoteKvBackend::doWriteSlots(const std::uint64_t *slots, std::size_t n,
         appendU64(frame, slots[i]);
     frame.insert(frame.end(), src, src + n * recBytes);
     pendingWrites.push_back(dispatchRequest());
-    if (obs::metricsEnabled()) {
-        inflightWritesGauge().set(
-            static_cast<std::int64_t>(pendingWrites.size()));
-    }
+    inflightWrites = pendingWrites.size();
 }
 
 void
@@ -914,8 +883,7 @@ RemoteKvBackend::doFlush()
         pendingWrites.front().get();
         pendingWrites.pop_front();
     }
-    if (obs::metricsEnabled())
-        inflightWritesGauge().set(0);
+    inflightWrites = 0;
 }
 
 std::uint64_t

@@ -79,6 +79,7 @@
 #ifndef LAORAM_STORAGE_REMOTE_BACKEND_HH
 #define LAORAM_STORAGE_REMOTE_BACKEND_HH
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -202,6 +203,14 @@ class RemoteKvServer
     };
     std::vector<Connection> conns;
     bool stopped = false;
+
+    /** Connections whose frame loop is running right now. */
+    std::atomic<std::uint64_t> activeConnections{0};
+    obs::MetricsSource metrics{[this](obs::PullSink &out) {
+        out.level("node.active_connections",
+                  "remote-KV node connections currently being served",
+                  activeConnections.load(std::memory_order_relaxed));
+    }};
 };
 
 /**
@@ -374,6 +383,14 @@ class RemoteKvBackend final : public SlotBackend
     std::uint64_t serverMetaCap = 0;
 
     mutable std::vector<std::uint8_t> frameScratch;
+
+    /** pendingWrites.size() as of its last change, for the sampler. */
+    obs::Tally<std::uint64_t> inflightWrites;
+    obs::MetricsSource metrics{[this](obs::PullSink &out) {
+        out.level("storage.remote.inflight_writes",
+                  "async write/flush RPCs parked in the pipelining window",
+                  inflightWrites);
+    }};
 };
 
 } // namespace laoram::storage

@@ -117,7 +117,8 @@ TEST(ServeSource, UnifiedRunMatchesTraceAdapter)
     cfg.base.seed = 31;
     cfg.superblockSize = 4;
 
-    const PipelineConfig pc = PipelineConfig{}.withWindowAccesses(200);
+    PipelineConfig pc;
+    pc.windowAccesses = 200;
 
     Laoram viaTrace(cfg);
     BatchPipeline(viaTrace, pc).run(trace);

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/sharded_laoram.hh"
+#include "obs/metrics.hh"
 #include "train/table_set.hh"
 #include "util/rng.hh"
 
@@ -296,6 +299,45 @@ TEST(ShardedLaoram, TableSetPlanRoutesWholeTables)
                 << " not routed with its table";
         }
     }
+}
+
+/** pipeline.lanes_active as the registry reads it now. */
+double
+lanesActive()
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().snapshot();
+    for (const auto &v : snap.values)
+        if (v.name == "pipeline.lanes_active")
+            return v.value;
+    return -1.0;
+}
+
+/** A lane whose first window fails, after noting the live lane count. */
+class ThrowingLanes final : public ShardedServeSource, ServeSource
+{
+  public:
+    ServeSource &shardSource(std::uint32_t) override { return *this; }
+
+    bool
+    nextWindow(SourceWindow &) override
+    {
+        seenActive.store(lanesActive());
+        throw std::runtime_error("lane source failed");
+    }
+
+    std::atomic<double> seenActive{-1.0};
+};
+
+TEST(ShardedLaoram, LanesActiveDropsWhenALaneThrows)
+{
+    ShardedLaoram sharded(shardedConfig(2));
+    EXPECT_EQ(lanesActive(), 0.0);
+    ThrowingLanes source;
+    EXPECT_THROW(sharded.serve(source), std::runtime_error);
+    EXPECT_GE(source.seenActive.load(), 1.0);
+    // The engine (and its level) outlives the failed run.
+    EXPECT_EQ(lanesActive(), 0.0);
 }
 
 TEST(ShardedLaoram, ShardSeedsAreStableAndDistinct)

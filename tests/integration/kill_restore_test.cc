@@ -74,10 +74,11 @@ fillPayloads(Laoram &engine, const LaoramConfig &cfg)
 PipelineConfig
 pipelineConfig()
 {
-    return PipelineConfig{}
-        .withWindowAccesses(kWindow)
-        .withPrepThreads(2)
-        .withQueueDepth(2);
+    PipelineConfig pc;
+    pc.windowAccesses = kWindow;
+    pc.prepThreads = 2;
+    pc.queueDepth = 2;
+    return pc;
 }
 
 class KillRestore
@@ -162,14 +163,12 @@ TEST_P(KillRestore, RestoredRunFinishesByteIdentically)
         std::vector<std::uint64_t> boundaries;
         const std::vector<oram::BlockId> suffix(
             trace.begin() + cut * kWindow, trace.end());
-        BatchPipeline(
-            restored,
-            pipelineConfig()
-                .withFirstWindow(restored.windowsServed())
-                .withWindowBoundaryHook([&](std::uint64_t w) {
-                    boundaries.push_back(w);
-                }))
-            .run(suffix);
+        PipelineConfig pc = pipelineConfig();
+        pc.firstWindowIndex = restored.windowsServed();
+        pc.windowBoundaryHook = [&](std::uint64_t w) {
+            boundaries.push_back(w);
+        };
+        BatchPipeline(restored, pc).run(suffix);
 
         ASSERT_EQ(boundaries.size(), kWindows - cut) << what;
         for (std::size_t i = 0; i < boundaries.size(); ++i)

@@ -248,10 +248,11 @@ fillPayloads(core::Laoram &engine, const core::LaoramConfig &cfg)
 core::PipelineConfig
 pipelineConfig()
 {
-    return core::PipelineConfig{}
-        .withWindowAccesses(kWindow)
-        .withPrepThreads(2)
-        .withQueueDepth(2);
+    core::PipelineConfig pc;
+    pc.windowAccesses = kWindow;
+    pc.prepThreads = 2;
+    pc.queueDepth = 2;
+    return pc;
 }
 
 enum class Fault

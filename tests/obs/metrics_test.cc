@@ -1,8 +1,10 @@
 /**
  * @file
  * MetricsRegistry tests: handle identity, snapshot/exposition shape,
- * pulled sources, and the concurrent update-while-sampling contract
- * the background sampler relies on (runs under TSan in CI).
+ * pulled sources (counters, high-water marks, levels), the pipeline
+ * series reconciling with the run report, and the concurrent
+ * update-while-sampling contract the background sampler relies on
+ * (runs under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.hh"
 #include "obs/metrics.hh"
 #include "oram/path_oram.hh"
+#include "util/rng.hh"
 
 namespace laoram::obs {
 namespace {
@@ -24,9 +28,6 @@ namespace {
 class ObsMetricsTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { setMetricsEnabled(false); }
-    void TearDown() override { setMetricsEnabled(false); }
-
     /**
      * @p stem with a suffix no earlier test or --gtest_repeat round
      * used: the registry is process-wide and keeps what they left.
@@ -78,7 +79,8 @@ TEST_F(ObsMetricsTest, SnapshotExpandsHistograms)
     const std::string c = fresh("test.c"), g = fresh("test.g"),
                       h = fresh("test.h");
     reg.counter(c).add(7);
-    reg.gauge(g).set(-3);
+    const MetricsSource level(
+        [&g](PullSink &out) { out.level(g, "pulled level", 3); });
     reg.histogram(h).record(16);
 
     const MetricsSnapshot snap = reg.snapshot();
@@ -90,7 +92,7 @@ TEST_F(ObsMetricsTest, SnapshotExpandsHistograms)
             EXPECT_DOUBLE_EQ(v.value, 7.0);
         } else if (v.name == g) {
             sawGauge = true;
-            EXPECT_DOUBLE_EQ(v.value, -3.0);
+            EXPECT_DOUBLE_EQ(v.value, 3.0);
         } else if (v.name == h + ".count") {
             sawHistCount = true;
             EXPECT_DOUBLE_EQ(v.value, 1.0);
@@ -199,6 +201,91 @@ TEST_F(ObsMetricsTest, HighWaterKeepsMaxAcrossSources)
     EXPECT_DOUBLE_EQ(valueOf(reg.snapshot(), src + ".peak"), 12.0);
 }
 
+TEST_F(ObsMetricsTest, LevelsSumOverLiveSourcesAndDropOnClose)
+{
+    auto &reg = MetricsRegistry::instance();
+    const std::string name = fresh("test.level");
+    auto levelSource = [&name](const std::uint64_t &v) {
+        return MetricsSource(
+            [&name, &v](PullSink &out) { out.level(name, "level", v); });
+    };
+    std::uint64_t first = 2, second = 5;
+    {
+        const MetricsSource a = levelSource(first);
+        const MetricsSource b = levelSource(second);
+        EXPECT_DOUBLE_EQ(valueOf(reg.snapshot(), name), 7.0);
+        second = 1; // read at sampling time
+        EXPECT_DOUBLE_EQ(valueOf(reg.snapshot(), name), 3.0);
+        const std::string prom = "laoram_test_" + name.substr(5);
+        EXPECT_NE(reg.prometheusText().find("# TYPE " + prom
+                                            + " gauge\n" + prom + " 3\n"),
+                  std::string::npos);
+    }
+    // Closed sources hold nothing, so nothing is folded.
+    EXPECT_DOUBLE_EQ(valueOf(reg.snapshot(), name), 0.0);
+    const MetricsSource c = levelSource(first);
+    EXPECT_DOUBLE_EQ(valueOf(reg.snapshot(), name), 2.0);
+}
+
+/**
+ * The pipeline's series are pulled from its run ledger and the
+ * reorder window's Stats, the same numbers the report reads, so over
+ * a Concurrent run with a prep pool their deltas equal the report
+ * exactly: live at each window boundary, after the run, and after
+ * the pipeline and engine are gone.
+ */
+TEST_F(ObsMetricsTest, PipelineSeriesReconcileWithTheReport)
+{
+    auto &reg = MetricsRegistry::instance();
+    const char *series[] = {"pipeline.windows_served",
+                            "pipeline.fill_ns", "pipeline.stall_ns",
+                            "pipeline.reorder.hol_wait_ns"};
+    std::vector<double> base;
+    for (const char *name : series)
+        base.push_back(std::max(0.0, valueOf(reg.snapshot(), name)));
+    auto delta = [&](std::size_t i) {
+        return valueOf(reg.snapshot(), series[i]) - base[i];
+    };
+
+    core::LaoramConfig cfg;
+    cfg.base.numBlocks = 512;
+    cfg.base.blockBytes = 64;
+    cfg.base.seed = 11;
+    cfg.superblockSize = 4;
+    cfg.lookaheadWindow = 64;
+    auto engine = std::make_unique<core::Laoram>(cfg);
+    Rng rng(5);
+    std::vector<oram::BlockId> trace(64 * 24);
+    for (oram::BlockId &id : trace)
+        id = rng.nextBounded(cfg.base.numBlocks);
+
+    core::PipelineConfig pc;
+    pc.windowAccesses = 64;
+    pc.prepThreads = 2;
+    pc.queueDepth = 2;
+    std::vector<double> servedAtBoundary;
+    pc.windowBoundaryHook = [&](std::uint64_t) {
+        servedAtBoundary.push_back(delta(0));
+    };
+    auto pipe = std::make_unique<core::BatchPipeline>(*engine, pc);
+    const core::PipelineReport rep = pipe->run(trace);
+
+    ASSERT_EQ(rep.windows, 24u);
+    ASSERT_EQ(servedAtBoundary.size(), 24u);
+    for (std::size_t w = 0; w < servedAtBoundary.size(); ++w)
+        EXPECT_EQ(servedAtBoundary[w], static_cast<double>(w + 1));
+    const double want[] = {static_cast<double>(rep.windows),
+                           rep.wallFillNs, rep.wallStallNs,
+                           rep.wallReorderStallNs};
+    for (std::size_t i = 0; i < std::size(series); ++i)
+        EXPECT_EQ(delta(i), want[i]) << series[i];
+    pipe.reset();
+    engine.reset();
+    for (std::size_t i = 0; i < std::size(series); ++i)
+        EXPECT_EQ(delta(i), want[i])
+            << series[i] << " after the pipeline closed";
+}
+
 /**
  * The sampler reads an engine's ledgers (meter and backend) while its
  * serving thread writes them: race-free under TSan, monotonic between
@@ -292,15 +379,6 @@ TEST_F(ObsMetricsTest, CryptoLedgerIsPulled)
     for (std::size_t i = 0; i < std::size(series); ++i)
         EXPECT_EQ(valueOf(reg.snapshot(), series[i]) - base[i], want[i])
             << series[i] << " after the engine closed";
-}
-
-TEST_F(ObsMetricsTest, EnabledGateFlips)
-{
-    EXPECT_FALSE(metricsEnabled());
-    setMetricsEnabled(true);
-    EXPECT_TRUE(metricsEnabled());
-    setMetricsEnabled(false);
-    EXPECT_FALSE(metricsEnabled());
 }
 
 /**

@@ -4,8 +4,8 @@
  * async write window, shaper determinism (same seed + latency config
  * => identical IoStats counts), handshake validation, persistent
  * (mmap-inner) node reopen over RPC, engine-level equivalence against
- * DRAM, and the kill-server-mid-trace error path (clean fatal, no
- * hang).
+ * DRAM, the per-backend live levels, and the kill-server-mid-trace
+ * error path (clean fatal, no hang).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 
 #include "../common/slot_io.hh"
 #include "../common/temp_dir.hh"
+#include "obs/metrics.hh"
 #include "oram/path_oram.hh"
 #include "oram/server_storage.hh"
 #include "storage/dram_backend.hh"
@@ -100,6 +101,52 @@ TEST(RemoteBackend, AsyncWriteWindowStaysBoundedAndFlushDrains)
         slotio::read(client, slot, out.data());
         EXPECT_EQ(out, rec) << "slot " << slot;
     }
+}
+
+/** @p name's value in the registry now (-1 when absent). */
+double
+liveValue(const std::string &name)
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().snapshot();
+    for (const auto &v : snap.values)
+        if (v.name == name)
+            return v.value;
+    return -1.0;
+}
+
+TEST(RemoteBackend, InflightWritesSumOverBackends)
+{
+    RemoteKvConfig cfg;
+    cfg.windowDepth = 8;
+    auto serverA = dramServer(cfg);
+    auto serverB = dramServer(cfg);
+    auto a = std::make_unique<RemoteKvBackend>(
+        serverA->connectClient(), kSlots, kRecBytes, cfg);
+    auto b = std::make_unique<RemoteKvBackend>(
+        serverB->connectClient(), kSlots, kRecBytes, cfg);
+    // Each handshake ran on its node's frame loop, so both are live.
+    EXPECT_EQ(liveValue("node.active_connections"), 2.0);
+
+    // Writes are only harvested by a later read or flush, so all of
+    // them stay parked in their backend's window.
+    const auto rec = pattern(0x33);
+    for (std::uint64_t slot = 0; slot < 2; ++slot)
+        slotio::write(*a, slot, rec.data());
+    for (std::uint64_t slot = 0; slot < 3; ++slot)
+        slotio::write(*b, slot, rec.data());
+    ASSERT_EQ(a->inFlightWrites(), 2u);
+    ASSERT_EQ(b->inFlightWrites(), 3u);
+    EXPECT_EQ(liveValue("storage.remote.inflight_writes"), 5.0);
+
+    a->flush();
+    EXPECT_EQ(liveValue("storage.remote.inflight_writes"), 3.0);
+    b.reset();
+    EXPECT_EQ(liveValue("storage.remote.inflight_writes"), 0.0);
+    a.reset();
+    serverA.reset();
+    serverB.reset();
+    EXPECT_EQ(liveValue("node.active_connections"), 0.0);
 }
 
 TEST(RemoteBackend, ReadObservesAllPendingWrites)
