@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "common/harness.hh"
 #include "core/pipeline.hh"
 #include "crypto/encryptor.hh"
@@ -155,15 +157,41 @@ BM_StorageVectoredPathRead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * slots.size());
 }
 
+/** The kernel of @p lanes lanes in ChaCha20::kernels(). */
+const crypto::ChaCha20::Kernel &
+kernelOf(std::int64_t lanes)
+{
+    for (const auto &k : crypto::ChaCha20::kernels())
+        if (static_cast<std::int64_t>(k.lanes) == lanes)
+            return k;
+    std::abort();
+}
+
+/** Nonce of a record write: slot (8 B LE) || epoch (4 B LE). */
+crypto::Nonce96
+slotNonce(std::uint64_t slot, std::uint32_t epoch)
+{
+    crypto::Nonce96 nonce{};
+    for (int i = 0; i < 8; ++i)
+        nonce[i] = static_cast<std::uint8_t>(slot >> (8 * i));
+    for (int i = 0; i < 4; ++i)
+        nonce[8 + i] = static_cast<std::uint8_t>(epoch >> (8 * i));
+    return nonce;
+}
+
 void
 BM_SealPath(benchmark::State &state)
 {
     // Seal, then open, every 80-B record (16-B header + 64-B payload,
     // the serving workload's record) of one root-to-leaf path of a
     // 2^16-block tree in one batched call each, as ServerStorage does
-    // per path. Items are records sealed plus records opened; a batch
-    // that does not open back to its plaintext fails by name.
+    // per path, on the kernel of range(0) lanes. Nonces are staged
+    // per call as Encryptor stages them. Items are records sealed
+    // plus records opened; a batch that does not seal to the 4-lane
+    // kernel's bytes, or does not open back to its plaintext, fails
+    // by name.
     constexpr std::size_t kRecordBytes = 80;
+    const auto xorStreams = kernelOf(state.range(0)).xorStreams;
     const oram::TreeGeometry geom(std::uint64_t{1} << 16, 64,
                                   oram::BucketProfile::uniform(4));
     std::vector<std::uint64_t> slots;
@@ -173,17 +201,35 @@ BM_SealPath(benchmark::State &state)
         for (std::uint64_t s = 0; s < geom.bucketSize(level); ++s)
             slots.push_back(base + s);
     }
-    crypto::Encryptor enc(crypto::Encryptor::deriveKey(13),
-                          geom.totalSlots());
+    const crypto::Key256 key = crypto::Encryptor::deriveKey(13);
+    std::vector<crypto::Nonce96> nonces(slots.size());
     std::vector<std::uint8_t> records(slots.size() * kRecordBytes);
     for (std::size_t i = 0; i < records.size(); ++i)
         records[i] = static_cast<std::uint8_t>(i * 7);
     const std::vector<std::uint8_t> plain = records;
+
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        nonces[i] = slotNonce(slots[i], 1);
+    std::vector<std::uint8_t> reference = plain;
+    kernelOf(4).xorStreams(key, nonces.data(), nonces.size(), 0,
+                           reference.data(), kRecordBytes);
+    xorStreams(key, nonces.data(), nonces.size(), 0, records.data(),
+               kRecordBytes);
+    if (records != reference)
+        state.SkipWithError("sealed path differs from the 4-lane kernel");
+    records = plain;
+
+    std::uint32_t epoch = 0;
     for (auto _ : state) {
-        enc.encryptSlots(slots.data(), slots.size(), records.data(),
-                         kRecordBytes);
-        enc.decryptSlots(slots.data(), slots.size(), records.data(),
-                         kRecordBytes);
+        ++epoch;
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            nonces[i] = slotNonce(slots[i], epoch);
+        xorStreams(key, nonces.data(), nonces.size(), 0, records.data(),
+                   kRecordBytes);
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            nonces[i] = slotNonce(slots[i], epoch);
+        xorStreams(key, nonces.data(), nonces.size(), 0, records.data(),
+                   kRecordBytes);
         benchmark::DoNotOptimize(records.data());
         benchmark::ClobberMemory();
     }
@@ -193,6 +239,16 @@ BM_SealPath(benchmark::State &state)
                             * static_cast<std::int64_t>(slots.size()));
     state.SetBytesProcessed(state.iterations() * 2
                             * static_cast<std::int64_t>(records.size()));
+}
+
+/** One BM_SealPath row per kernel width this CPU runs. */
+void
+SealPathWidths(benchmark::internal::Benchmark *b)
+{
+    b->ArgName("lanes");
+    for (const auto &k : crypto::ChaCha20::kernels())
+        if (k.supported)
+            b->Arg(static_cast<std::int64_t>(k.lanes));
 }
 
 void
@@ -227,7 +283,7 @@ BENCHMARK(BM_LaoramBinAccess)->Arg(12)->Arg(16)->Arg(18);
 BENCHMARK(BM_RingOramAccess)->Arg(12)->Arg(16);
 BENCHMARK(BM_PreprocessorScan)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_StorageVectoredPathRead)->Arg(0)->Arg(1);
-BENCHMARK(BM_SealPath);
+BENCHMARK(BM_SealPath)->Apply(SealPathWidths);
 BENCHMARK(BM_PipelineTrace)
     ->Arg(0)
     ->Arg(1)

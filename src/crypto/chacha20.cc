@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#define LAORAM_CHACHA20_X86 1
+#else
+#define LAORAM_CHACHA20_X86 0
+#endif
+
 namespace laoram::crypto {
 
 namespace {
@@ -11,30 +17,32 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "the keystream XOR loads data words little-endian");
 
 /**
- * Four 32-bit lanes in one 16-byte vector. The generic vector
- * extension lowers to SSE2 on x86-64 and NEON on AArch64 without any
- * -march flag; wider vectors would be split (and warn -Wpsabi) on a
- * baseline x86-64 target.
+ * 32-bit lanes in one vector, one typedef per kernel width. The
+ * 16-byte type lowers to SSE2 on x86-64 and NEON on AArch64 without
+ * any -march flag. The wider types are only operated on inside the
+ * functions that carry their target attribute (every helper below is
+ * always_inline), so no 32/64-byte vector crosses a baseline call.
  */
-typedef std::uint32_t Lanes __attribute__((vector_size(16)));
+typedef std::uint32_t Lanes4 __attribute__((vector_size(16)));
+#if LAORAM_CHACHA20_X86
+typedef std::uint32_t Lanes8 __attribute__((vector_size(32)));
+typedef std::uint32_t Lanes16 __attribute__((vector_size(64)));
+#endif
 
-constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(std::uint32_t);
-static_assert(kLanes == 4, "lane initialisers below list four words");
-
-/** Vectors interleaved per step, so 8 blocks are in flight at once. */
-constexpr std::size_t kGroups = 2;
-constexpr std::size_t kStepBlocks = kLanes * kGroups;
+#define LAORAM_INLINE inline __attribute__((always_inline))
 
 /**
- * One keystream block of a batch: RFC 8439 state words 12..15
- * (counter, nonce) and the up to 64 data bytes it is XORed into. An
- * idle lane has len 0.
+ * A step's worth of keystream blocks, kStep = W lanes x G vector
+ * groups: RFC 8439 state words 12..15 (counter, nonce) transposed so
+ * that a vector of lanes loads with one copy, and the up to 64 data
+ * bytes each block is XORed into. An idle lane has len 0.
  */
-struct Job
+template <std::size_t kStep>
+struct Jobs
 {
-    std::uint32_t words[4];
-    std::uint8_t *data;
-    std::size_t len;
+    alignas(64) std::uint32_t words[4][kStep];
+    std::uint8_t *data[kStep];
+    std::size_t len[kStep];
 };
 
 inline std::uint32_t
@@ -46,80 +54,98 @@ load32le(const std::uint8_t *p)
         | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-inline Lanes
-splat(std::uint32_t v)
+/*
+ * The vector helpers take and fill references: a 32/64-byte vector
+ * passed or returned by value changes the call ABI outside its
+ * target, which -Wpsabi flags even where the call is inlined.
+ */
+
+template <typename V>
+LAORAM_INLINE void
+splat(V &out, std::uint32_t v)
 {
-    return Lanes{v, v, v, v};
+    out = V{} + v;
 }
 
-inline Lanes
-rotl(Lanes x, int k)
+template <typename V>
+LAORAM_INLINE void
+loadLanes(V &out, const std::uint32_t *p)
 {
-    return (x << k) | (x >> (32 - k));
+    std::memcpy(&out, p, sizeof(out));
 }
 
-inline void
-quarterRound(Lanes &a, Lanes &b, Lanes &c, Lanes &d)
+template <int k, typename V>
+LAORAM_INLINE void
+rotl(V &x)
 {
-    a += b; d ^= a; d = rotl(d, 16);
-    c += d; b ^= c; b = rotl(b, 12);
-    a += b; d ^= a; d = rotl(d, 8);
-    c += d; b ^= c; b = rotl(b, 7);
+    x = (x << k) | (x >> (32 - k));
 }
 
-/** XOR lane @p l of the transposed keystream @p ks into @p job. */
-inline void
-xorLane(const Job &job, const std::uint32_t ks[16][kLanes],
-        std::size_t l)
+template <typename V>
+LAORAM_INLINE void
+quarterRound(V &a, V &b, V &c, V &d)
 {
-    std::size_t off = 0;
-    for (; off + 8 <= job.len; off += 8) {
-        const std::size_t w = off / 4;
-        std::uint64_t d;
-        std::memcpy(&d, job.data + off, sizeof(d));
-        d ^= static_cast<std::uint64_t>(ks[w][l])
-            | (static_cast<std::uint64_t>(ks[w + 1][l]) << 32);
-        std::memcpy(job.data + off, &d, sizeof(d));
-    }
-    for (; off < job.len; ++off)
-        job.data[off] ^=
-            static_cast<std::uint8_t>(ks[off / 4][l] >> (8 * (off % 4)));
+    a += b; d ^= a; rotl<16>(d);
+    c += d; b ^= c; rotl<12>(b);
+    a += b; d ^= a; rotl<8>(d);
+    c += d; b ^= c; rotl<7>(b);
 }
 
 /**
- * Run the 20 rounds for kStepBlocks jobs at once, lane l of vector
+ * XOR lane @p l of the transposed keystream @p ks (word i of the
+ * lane's block at ks[i * kLanes + l]) into @p len bytes at @p data.
+ */
+template <std::size_t kLanes>
+LAORAM_INLINE void
+xorLane(std::uint8_t *data, std::size_t len, const std::uint32_t *ks,
+        std::size_t l)
+{
+    std::size_t off = 0;
+    for (; off + 8 <= len; off += 8) {
+        const std::size_t w = off / 4;
+        std::uint64_t d;
+        std::memcpy(&d, data + off, sizeof(d));
+        d ^= static_cast<std::uint64_t>(ks[w * kLanes + l])
+            | (static_cast<std::uint64_t>(ks[(w + 1) * kLanes + l])
+               << 32);
+        std::memcpy(data + off, &d, sizeof(d));
+    }
+    for (; off < len; ++off)
+        data[off] ^= static_cast<std::uint8_t>(
+            ks[(off / 4) * kLanes + l] >> (8 * (off % 4)));
+}
+
+/**
+ * Run the 20 rounds for a step of jobs at once, lane l of vector
  * group g holding job g * kLanes + l, and XOR each keystream block
  * into its job's bytes.
  */
-void
-runStep(const std::uint32_t key[8], const Job jobs[kStepBlocks])
+template <typename V, std::size_t G>
+LAORAM_INLINE void
+runStep(const std::uint32_t key[8], const Jobs<sizeof(V) / 4 * G> &jobs)
 {
-    Lanes in[kGroups][16];
-    Lanes x[kGroups][16];
-    for (std::size_t g = 0; g < kGroups; ++g) {
-        const Job *j = jobs + g * kLanes;
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(std::uint32_t);
+    V in[G][16] = {};
+    V x[G][16] = {};
+    for (std::size_t g = 0; g < G; ++g) {
+        const std::size_t j = g * kLanes;
         // "expand 32-byte k" constants per RFC 8439 §2.3.
-        Lanes state[16] = {
-            splat(0x61707865), splat(0x3320646e), splat(0x79622d32),
-            splat(0x6b206574), splat(key[0]),     splat(key[1]),
-            splat(key[2]),     splat(key[3]),     splat(key[4]),
-            splat(key[5]),     splat(key[6]),     splat(key[7]),
-            Lanes{j[0].words[0], j[1].words[0], j[2].words[0],
-                  j[3].words[0]},
-            Lanes{j[0].words[1], j[1].words[1], j[2].words[1],
-                  j[3].words[1]},
-            Lanes{j[0].words[2], j[1].words[2], j[2].words[2],
-                  j[3].words[2]},
-            Lanes{j[0].words[3], j[1].words[3], j[2].words[3],
-                  j[3].words[3]},
-        };
+        static constexpr std::uint32_t kSigma[4] = {
+            0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+        V *v = in[g];
+        for (int i = 0; i < 4; ++i)
+            splat(v[i], kSigma[i]);
+        for (int i = 0; i < 8; ++i)
+            splat(v[4 + i], key[i]);
+        for (int i = 0; i < 4; ++i)
+            loadLanes(v[12 + i], jobs.words[i] + j);
         for (int i = 0; i < 16; ++i)
-            in[g][i] = x[g][i] = state[i];
+            x[g][i] = v[i];
     }
 
     for (int round = 0; round < 10; ++round) {
-        for (std::size_t g = 0; g < kGroups; ++g) {
-            Lanes *v = x[g];
+        for (std::size_t g = 0; g < G; ++g) {
+            V *v = x[g];
             // column rounds
             quarterRound(v[0], v[4], v[8], v[12]);
             quarterRound(v[1], v[5], v[9], v[13]);
@@ -133,47 +159,36 @@ runStep(const std::uint32_t key[8], const Job jobs[kStepBlocks])
         }
     }
 
-    for (std::size_t g = 0; g < kGroups; ++g) {
-        alignas(16) std::uint32_t ks[16][kLanes];
+    for (std::size_t g = 0; g < G; ++g) {
+        alignas(64) std::uint32_t ks[16 * kLanes];
         for (int i = 0; i < 16; ++i) {
-            const Lanes out = x[g][i] + in[g][i];
-            std::memcpy(ks[i], &out, sizeof(out));
+            x[g][i] += in[g][i];
+            std::memcpy(ks + i * kLanes, &x[g][i], sizeof(x[g][i]));
         }
         for (std::size_t l = 0; l < kLanes; ++l)
-            xorLane(jobs[g * kLanes + l], ks, l);
+            xorLane<kLanes>(jobs.data[g * kLanes + l],
+                            jobs.len[g * kLanes + l], ks, l);
     }
 }
 
-} // namespace
-
-void
-ChaCha20::block(const Key256 &key, const Nonce96 &nonce,
-                std::uint32_t counter, std::uint8_t out[blockBytes])
+/**
+ * The kernel body at one width: flatten the batch into (message,
+ * block) jobs and run them a step at a time; a message's blocks may
+ * straddle steps, and only the last step can run part-full.
+ */
+template <typename V, std::size_t G>
+LAORAM_INLINE void
+xorStreamsOn(const Key256 &key, const Nonce96 *nonces, std::size_t n,
+             std::uint32_t counter, std::uint8_t *data, std::size_t len)
 {
-    std::memset(out, 0, blockBytes);
-    xorStreams(key, &nonce, 1, counter, out, blockBytes);
-}
-
-void
-ChaCha20::xorStream(const Key256 &key, const Nonce96 &nonce,
-                    std::uint32_t counter, std::uint8_t *data,
-                    std::size_t len)
-{
-    xorStreams(key, &nonce, 1, counter, data, len);
-}
-
-void
-ChaCha20::xorStreams(const Key256 &key, const Nonce96 *nonces,
-                     std::size_t n, std::uint32_t counter,
-                     std::uint8_t *data, std::size_t len)
-{
+    constexpr std::size_t kStep = sizeof(V) / sizeof(std::uint32_t) * G;
+    static_assert(ChaCha20::maxStepBlocks % kStep == 0,
+                  "every kernel's step divides the widest one");
     std::uint32_t k[8];
     for (int i = 0; i < 8; ++i)
         k[i] = load32le(key.data() + 4 * i);
 
-    // Flatten the batch into (message, block) jobs and run them
-    // kStepBlocks at a time; a message's blocks may straddle steps.
-    Job jobs[kStepBlocks];
+    Jobs<kStep> jobs;
     std::size_t live = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint8_t *nonce = nonces[i].data();
@@ -182,19 +197,97 @@ ChaCha20::xorStreams(const Key256 &key, const Nonce96 *nonces,
         const std::uint32_t n2 = load32le(nonce + 8);
         std::uint8_t *msg = data + i * len;
         std::uint32_t ctr = counter;
-        for (std::size_t off = 0; off < len; off += blockBytes) {
-            jobs[live++] = {{ctr++, n0, n1, n2}, msg + off,
-                            std::min(blockBytes, len - off)};
-            if (live == kStepBlocks) {
-                runStep(k, jobs);
+        for (std::size_t off = 0; off < len; off += ChaCha20::blockBytes) {
+            jobs.words[0][live] = ctr++;
+            jobs.words[1][live] = n0;
+            jobs.words[2][live] = n1;
+            jobs.words[3][live] = n2;
+            jobs.data[live] = msg + off;
+            jobs.len[live] = std::min(ChaCha20::blockBytes, len - off);
+            if (++live == kStep) {
+                runStep<V, G>(k, jobs);
                 live = 0;
             }
         }
     }
     if (live == 0)
         return;
-    std::fill(jobs + live, jobs + kStepBlocks, Job{{}, nullptr, 0});
-    runStep(k, jobs);
+    for (; live < kStep; ++live) {
+        for (auto &word : jobs.words)
+            word[live] = 0;
+        jobs.data[live] = nullptr;
+        jobs.len[live] = 0;
+    }
+    runStep<V, G>(k, jobs);
+}
+
+void
+xorStreams4(const Key256 &key, const Nonce96 *nonces, std::size_t n,
+            std::uint32_t counter, std::uint8_t *data, std::size_t len)
+{
+    xorStreamsOn<Lanes4, 2>(key, nonces, n, counter, data, len);
+}
+
+#if LAORAM_CHACHA20_X86
+__attribute__((target("avx2"))) void
+xorStreams8(const Key256 &key, const Nonce96 *nonces, std::size_t n,
+            std::uint32_t counter, std::uint8_t *data, std::size_t len)
+{
+    xorStreamsOn<Lanes8, 1>(key, nonces, n, counter, data, len);
+}
+
+__attribute__((target("avx512f,avx512vl"))) void
+xorStreams16(const Key256 &key, const Nonce96 *nonces, std::size_t n,
+             std::uint32_t counter, std::uint8_t *data, std::size_t len)
+{
+    xorStreamsOn<Lanes16, 1>(key, nonces, n, counter, data, len);
+}
+#endif
+
+std::array<ChaCha20::Kernel, 3>
+probeKernels()
+{
+#if LAORAM_CHACHA20_X86
+    __builtin_cpu_init();
+    return {{
+        {16, "avx512f+avx512vl",
+         __builtin_cpu_supports("avx512f")
+             && __builtin_cpu_supports("avx512vl"),
+         xorStreams16},
+        {8, "avx2", static_cast<bool>(__builtin_cpu_supports("avx2")),
+         xorStreams8},
+        {4, "sse2", true, xorStreams4},
+    }};
+#else
+    return {{
+        {16, "avx512f+avx512vl", false, nullptr},
+        {8, "avx2", false, nullptr},
+        {4, "baseline", true, xorStreams4},
+    }};
+#endif
+}
+
+} // namespace
+
+const std::array<ChaCha20::Kernel, 3> &
+ChaCha20::kernels()
+{
+    static const std::array<Kernel, 3> table = probeKernels();
+    return table;
+}
+
+void
+ChaCha20::xorStreams(const Key256 &key, const Nonce96 *nonces,
+                     std::size_t n, std::uint32_t counter,
+                     std::uint8_t *data, std::size_t len)
+{
+    static const XorStreamsFn widest = [] {
+        for (const Kernel &k : kernels())
+            if (k.supported)
+                return k.xorStreams;
+        return xorStreams4;
+    }();
+    widest(key, nonces, n, counter, data, len);
 }
 
 } // namespace laoram::crypto

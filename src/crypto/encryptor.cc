@@ -34,6 +34,8 @@ xorSlots(const Key256 &key, const std::uint64_t *slots, std::size_t n,
          std::uint8_t *data, std::size_t len, EpochOf epochOf)
 {
     constexpr std::size_t kChunk = 64;
+    static_assert(kChunk % ChaCha20::maxStepBlocks == 0,
+                  "a chunk of records fills whole steps of every kernel");
     Nonce96 nonces[kChunk];
     for (std::size_t base = 0; base < n; base += kChunk) {
         const std::size_t m = std::min(kChunk, n - base);
@@ -93,8 +95,8 @@ Encryptor::keyCheck() const
     // Slot index all-ones is unreachable by record writes (slots are
     // bounded by epochs.size()), so this nonce never collides with a
     // record keystream.
-    ChaCha20::xorStream(key, nonceFor(~std::uint64_t{0}, 0), 0,
-                        out.data(), out.size());
+    const Nonce96 nonce = nonceFor(~std::uint64_t{0}, 0);
+    ChaCha20::xorStreams(key, &nonce, 1, 0, out.data(), out.size());
     return out;
 }
 

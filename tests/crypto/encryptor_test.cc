@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the slot encryptor (nonce/epoch management), and
- * byte-identity of its batched form against one RFC 8439 xorStream
- * per record.
+ * byte-identity of its batched form against one single-message
+ * ChaCha20::xorStreams call per record.
  */
 
 #include <gtest/gtest.h>
@@ -132,8 +132,9 @@ randomBytes(std::size_t n, Rng &rng)
 
 /**
  * Seal a batch of @p n records of @p len bytes over @p slots and
- * check every record against xorStream under the nonce a serial
- * writer would use, then open the batch back to the plaintext.
+ * check every record against a single-message xorStreams under the
+ * nonce a serial writer would use, then open the batch back to the
+ * plaintext.
  */
 void
 expectBatchMatchesSerial(const std::vector<std::uint64_t> &slots,
@@ -155,9 +156,11 @@ expectBatchMatchesSerial(const std::vector<std::uint64_t> &slots,
     enc.encryptSlots(slots.data(), n, batch.data(), len);
 
     std::vector<std::uint8_t> serial = plain;
-    for (std::size_t i = 0; i < n; ++i)
-        ChaCha20::xorStream(key, slotNonce(slots[i], ++epochs[slots[i]]),
-                            0, serial.data() + i * len, len);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Nonce96 nonce = slotNonce(slots[i], ++epochs[slots[i]]);
+        ChaCha20::xorStreams(key, &nonce, 1, 0, serial.data() + i * len,
+                             len);
+    }
     EXPECT_EQ(batch, serial) << "n=" << n << " len=" << len;
     EXPECT_EQ(std::vector<std::uint32_t>(
                   enc.epochData(), enc.epochData() + enc.epochCount()),
@@ -168,9 +171,11 @@ expectBatchMatchesSerial(const std::vector<std::uint64_t> &slots,
     // and each slot's last record must come back as its plaintext.
     std::vector<std::uint8_t> opened = batch;
     enc.decryptSlots(slots.data(), n, opened.data(), len);
-    for (std::size_t i = 0; i < n; ++i)
-        ChaCha20::xorStream(key, slotNonce(slots[i], epochs[slots[i]]),
-                            0, serial.data() + i * len, len);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Nonce96 nonce = slotNonce(slots[i], epochs[slots[i]]);
+        ChaCha20::xorStreams(key, &nonce, 1, 0, serial.data() + i * len,
+                             len);
+    }
     EXPECT_EQ(opened, serial) << "n=" << n << " len=" << len;
     for (std::size_t i = 0; i < n; ++i) {
         if (std::find(slots.begin() + i + 1, slots.end(), slots[i])
