@@ -20,8 +20,7 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
  * 32-bit lanes in one vector, one typedef per kernel width. The
  * 16-byte type lowers to SSE2 on x86-64 and NEON on AArch64 without
  * any -march flag. The wider types are only operated on inside the
- * functions that carry their target attribute (every helper below is
- * always_inline), so no 32/64-byte vector crosses a baseline call.
+ * functions that carry their target attribute.
  */
 typedef std::uint32_t Lanes4 __attribute__((vector_size(16)));
 #if LAORAM_CHACHA20_X86
@@ -55,9 +54,10 @@ load32le(const std::uint8_t *p)
 }
 
 /*
- * The vector helpers take and fill references: a 32/64-byte vector
- * passed or returned by value changes the call ABI outside its
- * target, which -Wpsabi flags even where the call is inlined.
+ * The vector helpers are always_inline and take and fill references:
+ * a 32/64-byte vector passed or returned by value changes the call
+ * ABI outside its target, which -Wpsabi flags even where the call is
+ * inlined.
  */
 
 template <typename V>

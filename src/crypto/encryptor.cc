@@ -25,8 +25,9 @@ nonceFor(std::uint64_t slot, std::uint32_t epoch)
 /**
  * XOR @p n records of @p len bytes at @p data with the keystreams of
  * (slots[i], epochOf(slots[i])), calling epochOf in op order. Nonces
- * are staged a chunk at a time on the stack; a chunk is a multiple of
- * the kernel's step, so only the batch's last step can run part-full.
+ * are staged a chunk at a time on the stack; a chunk's blocks fill
+ * whole steps of every kernel, so only the batch's last step can run
+ * part-full.
  */
 template <typename EpochOf>
 void
